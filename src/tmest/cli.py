@@ -23,8 +23,7 @@ def _cmd_estimate(args):
     config = EstimatorConfig(
         variant=args.variant, bins=args.bins, activation=args.activation,
         seed=args.seed,
-        optimizer=OptimizerConfig(step_size=args.step_size,
-                                  max_iters=args.max_iters,
+        optimizer=OptimizerConfig(max_iters=args.max_iters,
                                   restarts=args.restarts,
                                   tolerance=args.tolerance),
     )
@@ -122,7 +121,6 @@ def build_parser():
     pe.add_argument("--k", type=int, default=None)
     pe.add_argument("--output", default=None)
     pe.add_argument("--true-t", dest="true_t", default=None)
-    pe.add_argument("--step-size", type=float, default=0.1)
     pe.add_argument("--max-iters", type=int, default=3000)
     pe.add_argument("--restarts", type=int, default=10)
     pe.add_argument("--tolerance", type=float, default=1e-8)

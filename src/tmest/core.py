@@ -96,6 +96,8 @@ def load_dataset(path, schema=None, k=None):
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")
         rows = list(reader)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
 
     def col(name):
         return schema.get(name, name)
@@ -103,7 +105,7 @@ def load_dataset(path, schema=None, k=None):
     noisy_col = col("noisy_label")
     clean_col = col("clean_label")
     id_col = col("id")
-    header = set(rows[0].keys()) if rows else set(reader.fieldnames)
+    header = set(reader.fieldnames)
     if noisy_col not in header:
         raise DataError(f"missing column '{noisy_col}'")
 
@@ -225,14 +227,11 @@ class NoiseRatePair:
 
 @dataclass
 class OptimizerConfig:
-    step_size: float = 0.1
     max_iters: int = 3000
     restarts: int = 10
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise DataError("step_size must be positive")
         if self.max_iters < 1:
             raise DataError("max_iters must be >= 1")
 
@@ -282,6 +281,7 @@ class Report:
     converged: bool = True
     config_echo: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
+    excluded_rows: int = 0  # rows with zero weighted norm, left out of the 2-NN search
 
     def __post_init__(self):
         if self.error is not None and not (0.0 <= self.error <= 1.0):
@@ -296,6 +296,7 @@ class Report:
             "converged": self.converged,
             "config_echo": self.config_echo,
             "timings": self.timings,
+            "excluded_rows": self.excluded_rows,
         }
         return obj
 
@@ -311,6 +312,7 @@ class Report:
             converged=obj.get("converged", True),
             config_echo=obj.get("config_echo", {}),
             timings=obj.get("timings", {}),
+            excluded_rows=int(obj.get("excluded_rows", 0)),
         )
 
     def save(self, path):

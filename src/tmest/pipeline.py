@@ -82,4 +82,5 @@ def estimate(data, config, true_t=None):
         converged=solution.converged,
         config_echo=config.to_json(),
         timings=timings,
+        excluded_rows=data.n - triplets.n,
     )

@@ -1,8 +1,14 @@
 """Weighted (soft) cosine similarity and exact 2-nearest-neighbor retrieval.
 
-The 2-NN search is brute force (O(N^2 d), chunked over query rows) so that
-neighbor sets are exact and deterministic; ties break toward the lower row
-index.
+The 2-NN search is brute force, O(N^2 d), so neighbor sets are exact and
+deterministic.  It scores a chunk of query rows against every candidate with
+one matrix product, masks each row's own entry with -inf and takes two
+``argmax`` passes, masking the first winner before the second.  ``argmax``
+returns the first maximum, so equal computed similarities break toward the
+lower row index.  Copies of one row tie only when the matrix product scores
+them bitwise-equal, which BLAS kernels do not promise: two copies can differ
+by one ulp.  Rows with zero weighted norm have no defined similarity; they are
+left out both as queries and as candidates.
 """
 
 from dataclasses import dataclass
@@ -83,19 +89,23 @@ def soft_cosine(x, x2, weights):
 
 @dataclass
 class NeighborTriplets:
-    """For each row n: its noisy label and those of its two nearest rows."""
+    """For each query row: its noisy label and those of its two nearest rows."""
 
-    labels: np.ndarray      # (N, 3) int: (y_n, y_n1, y_n2)
-    indices: np.ndarray     # (N, 2) int: row indices of the two neighbors
+    labels: np.ndarray      # (M, 3) int: (y_n, y_n1, y_n2)
+    indices: np.ndarray     # (M, 2) int: row ids of the two neighbors
+    rows: np.ndarray | None = None  # (M,) int: query row ids; default 0..M-1
 
     def __post_init__(self):
         self.labels = _freeze(np.asarray(self.labels, dtype=np.int64))
         self.indices = _freeze(np.asarray(self.indices, dtype=np.int64))
         n = self.labels.shape[0]
-        if self.labels.shape != (n, 3) or self.indices.shape != (n, 2):
-            raise DataError("need one (label triple, index pair) per row")
-        rows = np.arange(n)
-        if np.any(self.indices[:, 0] == rows) or np.any(self.indices[:, 1] == rows) \
+        if self.rows is None:
+            self.rows = np.arange(n)
+        self.rows = _freeze(np.asarray(self.rows, dtype=np.int64))
+        if self.labels.shape != (n, 3) or self.indices.shape != (n, 2) \
+                or self.rows.shape != (n,):
+            raise DataError("need one (label triple, index pair, row id) per row")
+        if np.any(self.indices[:, 0] == self.rows) or np.any(self.indices[:, 1] == self.rows) \
                 or np.any(self.indices[:, 0] == self.indices[:, 1]):
             raise DataError("neighbor indices must be distinct from the row and each other")
 
@@ -118,61 +128,59 @@ def _weighted_rows(features, weights):
 def get_2nn_triplets(data, weights):
     """Exact 2-NN of every row under soft-cosine distance 1 - Sim_W.
 
-    Returns the noisy-label triplets used by the consensus counter.  Ties
-    break toward the lower row index; a row's own index is excluded.
+    Returns the noisy-label triplets used by the consensus counter.  For each
+    chunk of query rows the similarities to all candidates are computed at
+    once; the row's own entry is set to -inf, the first neighbor is the
+    ``argmax``, and the second is the ``argmax`` after the first is set to
+    -inf as well.  Equal similarities break toward the lower row index.
+    Rows with zero weighted norm are excluded as queries and as candidates,
+    so ``triplets.rows`` lists the rows that were kept; fewer than 3 kept
+    rows is an error.
     """
     x = data.features
     weights._check_dim(x.shape[1])
-    n = x.shape[0]
-    if n < 3:
-        raise DataError("need at least 3 rows for 2-NN triplets")
 
     if weights.form == "full":
-        gram_half = x @ weights.w          # (N, d)
-        sq = np.einsum("ij,ij->i", gram_half, x)
-        if np.any(sq <= 0):
-            raise DataError("degenerate vector under W")
-        norms = np.sqrt(sq)
-        xa, xb = gram_half / norms[:, None], x / norms[:, None]
+        xa, xb = x @ weights.w, x          # xa[i] . xb[j] = x_i^T W x_j
     else:
-        xw = _weighted_rows(x, weights)
-        sq = np.einsum("ij,ij->i", xw, xw)
-        if np.any(sq <= 0):
-            raise DataError("degenerate vector under W")
-        xa = xb = xw / np.sqrt(sq)[:, None]
+        xa = xb = _weighted_rows(x, weights)
+    sq = np.einsum("ij,ij->i", xa, xb)
+    rows = np.flatnonzero(sq > 0)
+    if rows.size < 3:
+        raise DataError(f"need at least 3 rows with nonzero weighted norm for "
+                        f"2-NN triplets, got {rows.size}")
+    if rows.size < x.shape[0]:
+        xa, xb, sq = xa[rows], xb[rows], sq[rows]
+    norms = np.sqrt(sq)[:, None]
+    xa = xa / norms
+    xb = xb / norms if weights.form == "full" else xa
 
-    indices = np.empty((n, 2), dtype=np.int64)
-    m = min(16, n - 1)  # candidate pool; plenty unless many exact ties
+    n = rows.size
+    nearest = np.empty((n, 2), dtype=np.int64)
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
         sims = xa[start:stop] @ xb.T
-        rows = np.arange(stop - start)
-        sims[rows, np.arange(start, stop)] = -np.inf
-        cand = np.argpartition(-sims, m - 1, axis=1)[:, :m]
-        csims = np.take_along_axis(sims, cand, axis=1)
-        # order candidates by similarity, breaking ties toward lower index
-        order = np.lexsort((cand, -csims), axis=1)
-        top = np.take_along_axis(cand, order[:, :2], axis=1)
-        indices[start:stop] = top
-        # a tie at the candidate boundary may hide an equal lower index
-        # outside the pool; resolve those rows with a full stable sort
-        second = sims[rows, top[:, 1]]
-        unsafe = np.flatnonzero(second <= csims.min(axis=1))
-        for r in unsafe:
-            indices[start + r] = np.argsort(-sims[r], kind="stable")[:2]
+        q = np.arange(stop - start)
+        sims[q, q + start] = -np.inf
+        first = sims.argmax(axis=1)
+        sims[q, first] = -np.inf
+        nearest[start:stop, 0] = first
+        nearest[start:stop, 1] = sims.argmax(axis=1)
 
+    indices = rows[nearest]
     y = data.noisy_labels
-    labels = np.column_stack([y, y[indices[:, 0]], y[indices[:, 1]]])
-    return NeighborTriplets(labels, indices)
+    labels = np.column_stack([y[rows], y[indices[:, 0]], y[indices[:, 1]]])
+    return NeighborTriplets(labels, indices, rows)
 
 
 def clusterability_rate(data, weights):
-    """Fraction of rows whose two nearest neighbors share the row's clean label."""
+    """Fraction of query rows whose two nearest neighbors share the row's clean label."""
     if data.clean_labels is None:
         raise DataError("clusterability requires clean labels")
     trip = get_2nn_triplets(data, weights)
     c = data.clean_labels
-    ok = (c[trip.indices[:, 0]] == c) & (c[trip.indices[:, 1]] == c)
+    own = c[trip.rows]
+    ok = (c[trip.indices[:, 0]] == own) & (c[trip.indices[:, 1]] == own)
     return float(ok.mean())
 
 
@@ -183,4 +191,4 @@ def dump_triplets_csv(triplets, path):
         writer = csv.writer(fh)
         writer.writerow(["n", "n1", "n2", "y_n", "y_n1", "y_n2"])
         for i in range(triplets.n):
-            writer.writerow([i, *triplets.indices[i], *triplets.labels[i]])
+            writer.writerow([triplets.rows[i], *triplets.indices[i], *triplets.labels[i]])

@@ -40,6 +40,12 @@ def test_load_rejects_too_few_rows(tmp_csv):
         tm.load_dataset(tmp_csv("small.csv", text))
 
 
+def test_load_rejects_header_only(tmp_csv):
+    text = CSV_BASIC.splitlines()[0] + "\n"
+    with pytest.raises(DataError, match="no data rows"):
+        tm.load_dataset(tmp_csv("header.csv", text))
+
+
 def test_label_out_of_range(tmp_csv):
     with pytest.raises(DataError):
         tm.load_dataset(tmp_csv("d.csv", CSV_BASIC), k=1)
@@ -114,7 +120,7 @@ def test_report_round_trip(tmp_path):
     report = Report(estimated_t=t, consensus=stats,
                     weights=tm.WeightVector(np.array([1.0, 0.5])),
                     error=0.01, config_echo=EstimatorConfig().to_json(),
-                    timings={"solve": 0.1})
+                    timings={"solve": 0.1}, excluded_rows=2)
     path = str(tmp_path / "r.json")
     report.save(path)
     back = Report.load(path)
@@ -123,6 +129,7 @@ def test_report_round_trip(tmp_path):
     np.testing.assert_array_equal(back.weights.w, report.weights.w)
     assert back.error == report.error
     assert back.config_echo == report.config_echo
+    assert back.excluded_rows == 2
     # the embedded matrix always re-validates
     tm.validate_transition(back.estimated_t.t)
 

@@ -61,6 +61,21 @@ def test_weighting_discounts_nuisance_dimensions():
     assert w[:4].min() > w[4:].max()
 
 
+def test_zero_row_is_excluded_not_fatal():
+    # an all-zero row has no cosine to anything: it is left out, and the
+    # estimate equals the one on the data without it
+    data, t = _noisy_blobs(6, n=1500)
+    padded = tm.Dataset(np.insert(data.features, 7, 0.0, axis=0),
+                        np.insert(data.noisy_labels, 7, 1), 2)
+    cfg = EstimatorConfig(variant="plain-hoc")
+    report = estimate(padded, cfg, true_t=t)
+    base = estimate(data, cfg, true_t=t)
+    assert (report.excluded_rows, base.excluded_rows) == (1, 0)
+    assert report.consensus.n == data.n
+    np.testing.assert_array_equal(report.consensus.c3, base.consensus.c3)
+    np.testing.assert_array_equal(report.estimated_t.t, base.estimated_t.t)
+
+
 def test_error_is_none_without_truth():
     data, _ = _noisy_blobs(3, n=800)
     report = estimate(data, EstimatorConfig(variant="plain-hoc"))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tmest as tm
 from tmest.core import DataError
 from tmest.similarity import (
+    _CHUNK,
     NeighborTriplets,
     SimilarityWeights,
     clusterability_rate,
@@ -158,6 +160,110 @@ def test_neighbor_triplets_distinctness():
         NeighborTriplets(np.zeros((3, 3)), np.array([[0, 1], [0, 2], [0, 1]]))
     with pytest.raises(DataError, match="distinct"):
         NeighborTriplets(np.zeros((3, 3)), np.array([[1, 1], [0, 2], [0, 1]]))
+    # distinctness is checked against the query row ids, not positions
+    NeighborTriplets(np.zeros((2, 3)), np.array([[0, 3], [3, 4]]), rows=[2, 0])
+    with pytest.raises(DataError, match="distinct"):
+        NeighborTriplets(np.zeros((2, 3)), np.array([[0, 3], [1, 4]]), rows=[3, 0])
+
+
+def _weights_of(form, rng, d):
+    if form == "identity":
+        return SimilarityWeights.identity()
+    if form == "diagonal":
+        return SimilarityWeights.diagonal(rng.uniform(0.1, 1.0, d))
+    r = rng.normal(size=(d, d))
+    return SimilarityWeights.full(r.T @ r + 0.1 * np.eye(d))
+
+
+def test_2nn_excludes_zero_norm_rows():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(203, 4))
+    x[[0, 57, 202]] = 0.0
+    keep = np.setdiff1d(np.arange(203), [0, 57, 202])
+    data = tm.Dataset(x, rng.integers(0, 2, 203), 2)
+    for form in ("identity", "diagonal", "full"):
+        weights = _weights_of(form, rng, 4)
+        trip = get_2nn_triplets(data, weights)
+        np.testing.assert_array_equal(trip.rows, keep)
+        np.testing.assert_array_equal(trip.indices,
+                                      keep[_reference_2nn(x[keep], weights)])
+        np.testing.assert_array_equal(trip.labels[:, 0], data.noisy_labels[keep])
+        np.testing.assert_array_equal(trip.labels[:, 2],
+                                      data.noisy_labels[trip.indices[:, 1]])
+
+
+def test_2nn_zero_weight_excludes_row():
+    # a nonzero row that lives only on a zero-weight axis is degenerate too
+    x = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.5, 0.5], [0.0, 2.0]])
+    data = tm.Dataset(x, np.array([0, 0, 1, 1, 0]), 2)
+    trip = get_2nn_triplets(data, SimilarityWeights.diagonal([1.0, 0.0]))
+    assert trip.rows.tolist() == [0, 1, 3]
+    assert not np.isin(trip.indices, [2, 4]).any()
+
+
+def test_2nn_too_few_nondegenerate_rows():
+    x = np.zeros((5, 3))
+    x[1] = [1.0, 0.0, 0.0]
+    x[3] = [0.0, 1.0, 0.0]
+    data = tm.Dataset(x, np.zeros(5, dtype=int), 2)
+    with pytest.raises(DataError, match="at least 3 rows with nonzero weighted norm"):
+        get_2nn_triplets(data, SimilarityWeights.identity())
+
+
+def _dyadic_case(rng, n, d, distinct, form):
+    """Rows drawn from a few vectors, with similarities exact in floating point.
+
+    Weights are powers of 4 (permuted with sign flips for the full form),
+    vector entries are 0 or +-2^s, and a vector is kept only if its weighted
+    squared norm is a power of 4.  Unit rows then hold short dyadic fractions,
+    so every dot product is exact in any summation order: duplicated and
+    positively scaled rows tie exactly, whatever kernel the matrix product
+    uses.  (Generic duplicated floats do not: a BLAS product may give two
+    copies of a row scores one ulp apart.)
+    """
+    diag = np.ones(d) if form == "identity" else 4.0 ** rng.integers(0, 2, d)
+    if form == "full":
+        perm = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+        weights = SimilarityWeights.full(perm.T @ np.diag(diag) @ perm)
+        w = weights.w
+    else:
+        weights = (SimilarityWeights.identity() if form == "identity"
+                   else SimilarityWeights.diagonal(diag))
+        w = np.diag(diag)
+    cand = rng.integers(-1, 2, size=(4000, d)).astype(float)
+    sq = np.einsum("ij,jk,ik->i", cand, w, cand)
+    pool = cand[(sq > 0) & (np.log2(np.maximum(sq, 1)) % 2 == 0)][:distinct]
+    pool *= 2.0 ** rng.integers(-2, 3, (len(pool), 1))
+    return pool[rng.integers(0, len(pool), n)], weights
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(3, 2 * _CHUNK + 150), d=st.integers(4, 8),
+       distinct=st.integers(1, 40), form=st.sampled_from(["identity", "diagonal", "full"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_2nn_matches_reference_with_ties(n, d, distinct, form, seed):
+    rng = np.random.default_rng(seed)
+    x, weights = _dyadic_case(rng, n, d, distinct, form)
+    data = tm.Dataset(x, rng.integers(0, 3, n), 3)
+    trip = get_2nn_triplets(data, weights)
+    np.testing.assert_array_equal(trip.indices, _reference_2nn(x, weights))
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(3, 2 * _CHUNK + 150), d=st.integers(2, 6),
+       form=st.sampled_from(["identity", "diagonal", "full"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_2nn_permutation_equivariant(n, d, form, seed):
+    # continuous data has no exact ties, so the neighbors follow the rows
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = rng.integers(0, 3, n)
+    weights = _weights_of(form, rng, d)
+    perm = rng.permutation(n)
+    base = get_2nn_triplets(tm.Dataset(x, y, 3), weights)
+    moved = get_2nn_triplets(tm.Dataset(x[perm], y[perm], 3), weights)
+    np.testing.assert_array_equal(perm[moved.indices], base.indices[perm])
+    np.testing.assert_array_equal(moved.labels, base.labels[perm])
 
 
 def test_clusterability_separated_blobs():

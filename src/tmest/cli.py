@@ -9,8 +9,8 @@ import argparse
 import json
 import sys
 
-from .core import (EstimatorConfig, NoiseRatePair, OptimizerConfig,
-                   TransitionMatrix, load_dataset, save_dataset)
+from .core import (ACTIVATIONS, VARIANTS, EstimatorConfig, NoiseRatePair,
+                   OptimizerConfig, TransitionMatrix, load_dataset, save_dataset)
 from .evaluation import estimation_error, train_linear
 from .infotheory import (FDivergenceKind, build_weights, estimate_fmi_per_dim,
                          kl_order_gap, practical_gap)
@@ -38,8 +38,8 @@ def _cmd_estimate(args):
 
 def _cmd_mi(args):
     data = load_dataset(args.input, k=args.k)
-    kind = FDivergenceKind.KL if args.divergence == "kl" else FDivergenceKind.TV
-    mi = estimate_fmi_per_dim(data.features, data.noisy_labels, kind, args.bins)
+    mi = estimate_fmi_per_dim(data.features, data.noisy_labels,
+                              FDivergenceKind(args.divergence), args.bins)
     weights = build_weights(mi, args.activation)
     print("dim,mi,weight")
     for i, (v, w) in enumerate(zip(mi.per_dim, weights.w)):
@@ -113,24 +113,26 @@ def build_parser():
 
     pe = sub.add_parser("estimate", help="run the full estimation pipeline")
     pe.add_argument("--input", required=True)
-    pe.add_argument("--variant", default="plain-hoc",
-                    choices=["plain-hoc", "x-kl", "x-tv", "a-kl", "a-tv"])
-    pe.add_argument("--bins", type=int, default=15)
-    pe.add_argument("--activation", default="minmax", choices=["minmax", "log-minmax"])
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--variant", default=EstimatorConfig.variant, choices=VARIANTS)
+    pe.add_argument("--bins", type=int, default=EstimatorConfig.bins)
+    pe.add_argument("--activation", default=EstimatorConfig.activation,
+                    choices=ACTIVATIONS)
+    pe.add_argument("--seed", type=int, default=EstimatorConfig.seed)
     pe.add_argument("--k", type=int, default=None)
     pe.add_argument("--output", default=None)
     pe.add_argument("--true-t", dest="true_t", default=None)
-    pe.add_argument("--max-iters", type=int, default=3000)
-    pe.add_argument("--restarts", type=int, default=10)
-    pe.add_argument("--tolerance", type=float, default=1e-8)
+    pe.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
+    pe.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    pe.add_argument("--tolerance", type=float, default=OptimizerConfig.tolerance)
     pe.set_defaults(func=_cmd_estimate)
 
     pm = sub.add_parser("mi", help="per-dimension MI and weights as CSV")
     pm.add_argument("--input", required=True)
-    pm.add_argument("--divergence", default="tv", choices=["kl", "tv"])
-    pm.add_argument("--bins", type=int, default=15)
-    pm.add_argument("--activation", default="minmax", choices=["minmax", "log-minmax"])
+    pm.add_argument("--divergence", default=FDivergenceKind.TV.value,
+                    choices=[kind.value for kind in FDivergenceKind])
+    pm.add_argument("--bins", type=int, default=EstimatorConfig.bins)
+    pm.add_argument("--activation", default=EstimatorConfig.activation,
+                    choices=ACTIVATIONS)
     pm.add_argument("--k", type=int, default=None)
     pm.set_defaults(func=_cmd_mi)
 

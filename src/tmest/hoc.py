@@ -2,7 +2,13 @@
 
 Under 2-NN label clusterability the three noisy labels of a triplet are
 independent draws through T from a single clean label, so the first, second
-and third order pattern frequencies are polynomial in (T, p).  The solver
+and third order pattern frequencies are polynomial in (T, p):
+
+    c1 = p' T,   c2 = T' diag(p) T,   c3 = T' diag(p) TT  (as K x K x K),
+
+where row i of TT (K x K^2) is t_i (x) t_i.
+`_moments` is the one implementation of this model; the exact statistics,
+the loss and its gradient all take their tensors from it.  The solver
 minimizes the squared mismatch between empirical and model frequencies over
 softmax-parameterized (T, p).
 """
@@ -64,13 +70,18 @@ def count_consensus(triplets, k):
     return ConsensusStatistics(c1, c2, c3, n)
 
 
+def _moments(t, p):
+    """Model moments (c1, c2, c3) of (T, p), and TT whose row i is t_i (x) t_i."""
+    k = t.shape[0]
+    pt = p[:, None] * t
+    tt = (t[:, :, None] * t[:, None, :]).reshape(k, k * k)
+    return p @ t, pt.T @ t, (pt.T @ tt).reshape(k, k, k), tt
+
+
 def model_consensus(t, p=None):
     """Exact pattern probabilities implied by (T, p) under clusterability."""
     p = np.asarray(t.p if p is None else p, dtype=np.float64)
-    tm = t.t
-    c1 = p @ tm
-    c2 = np.einsum("i,ij,il->jl", p, tm, tm)
-    c3 = np.einsum("i,ij,il,im->jlm", p, tm, tm, tm)
+    c1, c2, c3, _ = _moments(t.t, p)
     return ConsensusStatistics(c1, c2, c3, n=0)
 
 
@@ -90,32 +101,31 @@ def _softmax(theta):
 
 def consensus_loss(t, p, stats):
     """Squared Frobenius mismatch between model and empirical tensors."""
-    model = model_consensus(TransitionMatrix(stats.k, t), p)
-    return float(((model.c1 - stats.c1) ** 2).sum()
-                 + ((model.c2 - stats.c2) ** 2).sum()
-                 + ((model.c3 - stats.c3) ** 2).sum())
+    c1, c2, c3, _ = _moments(np.asarray(t, dtype=np.float64),
+                             np.asarray(p, dtype=np.float64))
+    return float(((c1 - stats.c1) ** 2).sum() + ((c2 - stats.c2) ** 2).sum()
+                 + ((c3 - stats.c3) ** 2).sum())
 
 
 def _loss_and_grad(theta_t, theta_p, stats):
     """Loss and analytic gradients w.r.t. the softmax pre-activations."""
+    k = stats.k
     t = _softmax(theta_t)
     p = _softmax(theta_p)
-    c1 = p @ t
-    c2 = np.einsum("i,ij,il->jl", p, t, t)
-    c3 = np.einsum("i,ij,il,im->jlm", p, t, t, t)
+    c1, c2, c3, tt = _moments(t, p)
     r1, r2, r3 = c1 - stats.c1, c2 - stats.c2, c3 - stats.c3
     loss = float((r1 ** 2).sum() + (r2 ** 2).sum() + (r3 ** 2).sum())
 
-    # gradients in (T, p) space; the empirical tensors are ordered counts so
-    # r2/r3 need not be symmetric and each slot contributes separately
-    g_p = 2 * (t @ r1
-               + np.einsum("jl,ij,il->i", r2, t, t)
-               + np.einsum("jlm,ij,il,im->i", r3, t, t, t))
-    g2 = np.einsum("bl,il->ib", r2, t) + np.einsum("jb,ij->ib", r2, t)
-    g3 = (np.einsum("blm,il,im->ib", r3, t, t)
-          + np.einsum("jbm,ij,im->ib", r3, t, t)
-          + np.einsum("jlb,ij,il->ib", r3, t, t))
-    g_t = 2 * (np.outer(p, r1) + p[:, None] * (g2 + g3))
+    # gradients in (T, p) space.  The empirical tensors are ordered counts, so
+    # r2/r3 need not be symmetric: t_i enters every slot of c2 and c3, and
+    # summing r over the slot permutations turns the per-slot contractions
+    # into one product per order: g2[i, b] = sum_l (r2 + r2')[b, l] t_il and
+    # g3[i, b] = sum_lm (r3 + r3^(1,0,2) + r3^(2,0,1))[b, l, m] t_il t_im.
+    g2 = t @ (r2 + r2.T)
+    g3 = tt @ (r3 + r3.transpose(1, 0, 2) + r3.transpose(2, 0, 1)).reshape(k, k * k).T
+    g_t = 2 * p[:, None] * (r1 + g2 + g3)
+    # c_n is homogeneous of degree n in t_i, so t_i . dc_n/dt_i = n p_i dc_n/dp_i
+    g_p = 2 * (t * (r1 + g2 / 2 + g3 / 3)).sum(axis=1)
     # chain through the row softmax
     g_theta_t = t * (g_t - (t * g_t).sum(axis=1, keepdims=True))
     g_theta_p = p * (g_p - (p * g_p).sum())

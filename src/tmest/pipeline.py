@@ -30,11 +30,11 @@ class VariantSpec:
             return cls(False, None, activation)
         try:
             prefix, div = variant.split("-")
+            kind = FDivergenceKind(div)
         except ValueError:
             raise DataError(f"unknown variant '{variant}'") from None
-        if prefix not in ("x", "a") or div not in ("kl", "tv"):
+        if prefix not in ("x", "a"):
             raise DataError(f"unknown variant '{variant}'")
-        kind = FDivergenceKind.KL if div == "kl" else FDivergenceKind.TV
         return cls(prefix == "a", kind, activation)
 
 
@@ -67,6 +67,9 @@ def estimate(data, config, true_t=None):
 
     t0 = time.perf_counter()
     stats = count_consensus(triplets, data.k)
+    timings["count"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
     solution = solve_transition(stats, data.k, config.optimizer, seed=config.seed)
     timings["solve"] = time.perf_counter() - t0
 

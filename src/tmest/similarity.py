@@ -130,9 +130,9 @@ def get_2nn_triplets(data, weights):
 
     Returns the noisy-label triplets used by the consensus counter.  For each
     chunk of query rows the similarities to all candidates are computed at
-    once; the row's own entry is set to -inf, the first neighbor is the
-    ``argmax``, and the second is the ``argmax`` after the first is set to
-    -inf as well.  Equal similarities break toward the lower row index.
+    once, into one buffer that every chunk reuses; the row's own entry is
+    set to -inf, the first neighbor is the ``argmax``, and the second is the
+    ``argmax`` after the first is set to -inf as well.  Equal similarities break toward the lower row index.
     Rows with zero weighted norm are excluded as queries and as candidates,
     so ``triplets.rows`` lists the rows that were kept; fewer than 3 kept
     rows is an error.
@@ -157,9 +157,10 @@ def get_2nn_triplets(data, weights):
 
     n = rows.size
     nearest = np.empty((n, 2), dtype=np.int64)
+    buf = np.empty((min(_CHUNK, n), n))
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        sims = xa[start:stop] @ xb.T
+        sims = np.matmul(xa[start:stop], xb.T, out=buf[:stop - start])
         q = np.arange(stop - start)
         sims[q, q + start] = -np.inf
         first = sims.argmax(axis=1)

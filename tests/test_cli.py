@@ -36,6 +36,19 @@ def test_estimate_command(noisy_csv, tmp_path, capsys):
     np.testing.assert_allclose(est.sum(axis=1), [1.0, 1.0], atol=1e-8)
 
 
+def test_estimate_defaults_match_config(noisy_csv, monkeypatch):
+    seen = []
+
+    def fake_estimate(data, config, true_t=None):
+        seen.append(config)
+        raise SystemExit(0)
+
+    monkeypatch.setattr("tmest.cli.estimate", fake_estimate)
+    with pytest.raises(SystemExit):
+        main(["estimate", "--input", noisy_csv[0]])
+    assert seen == [tm.EstimatorConfig()]
+
+
 def test_mi_command(noisy_csv, capsys):
     csv_path, _, _ = noisy_csv
     rc = main(["mi", "--input", csv_path, "--divergence", "kl"])

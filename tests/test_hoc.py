@@ -8,6 +8,7 @@ from tmest.hoc import (
     HocSolution,
     _loss_and_grad,
     _maximize_trace,
+    _softmax,
     consensus_loss,
     count_consensus,
     model_consensus,
@@ -70,6 +71,21 @@ def test_model_consensus_noiseless_identity():
         assert stats.c3[i, i, i] == pytest.approx(pi)
 
 
+def test_model_consensus_matches_definition():
+    # c_n is the p-weighted sum over clean labels i of the n-fold outer product of t_i
+    rng = np.random.default_rng(4)
+    t = tm.validate_transition(rng.dirichlet(np.ones(4), size=4))
+    p = rng.dirichlet(np.ones(4))
+    stats = model_consensus(t, p)
+    outer = np.multiply.outer
+    np.testing.assert_allclose(stats.c1, sum(pi * ti for pi, ti in zip(p, t.t)),
+                               rtol=1e-13)
+    np.testing.assert_allclose(stats.c2, sum(pi * outer(ti, ti) for pi, ti in zip(p, t.t)),
+                               rtol=1e-13)
+    np.testing.assert_allclose(
+        stats.c3, sum(pi * outer(outer(ti, ti), ti) for pi, ti in zip(p, t.t)), rtol=1e-13)
+
+
 def test_consensus_statistics_invariants():
     with pytest.raises(DataError):
         ConsensusStatistics(np.array([0.6, 0.3]), np.full((2, 2), 0.25),
@@ -96,13 +112,15 @@ def test_loss_zero_at_truth():
 
 def test_analytic_gradient_matches_finite_difference():
     rng = np.random.default_rng(1)
-    for k in (2, 3):
+    for k in (2, 3, 5, 10):
         # non-symmetric empirical tensors, as produced by ordered counts
         labels = rng.integers(0, k, (300, 3))
         stats = count_consensus(_triplets(labels), k)
         theta_t = rng.normal(size=(k, k))
         theta_p = rng.normal(size=k)
         loss, g_t, g_p = _loss_and_grad(theta_t, theta_p, stats)
+        assert loss == pytest.approx(
+            consensus_loss(_softmax(theta_t), _softmax(theta_p), stats), rel=1e-12)
         eps = 1e-6
         for i in range(k):
             for j in range(k):

@@ -63,15 +63,6 @@ def test_mi_matches_four_cell_hand_count():
     assert estimate_fmi(col, y, FDivergenceKind.TV, bins=2) == pytest.approx(expect_tv)
 
 
-def test_unimplemented_divergences_raise():
-    col, y = _perfect_pair(100)
-    for kind in (FDivergenceKind.JENSEN_SHANNON, FDivergenceKind.SQUARED_HELLINGER,
-                 FDivergenceKind.PEARSON_CHI2, FDivergenceKind.NEYMAN_CHI2,
-                 FDivergenceKind.REVERSE_KL):
-        with pytest.raises(NotImplementedError):
-            estimate_fmi(col, y, kind)
-
-
 def test_equal_frequency_bins_balanced():
     rng = np.random.default_rng(1)
     col = rng.normal(size=1500)

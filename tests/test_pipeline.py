@@ -36,7 +36,7 @@ def test_each_variant_runs_and_reports(variant):
     assert report.error is not None and 0.0 <= report.error <= 1.0
     tm.validate_transition(report.estimated_t.t)
     assert report.config_echo["variant"] == variant
-    for stage in ("whitening", "weights", "neighbors", "solve"):
+    for stage in ("whitening", "weights", "neighbors", "count", "solve"):
         assert report.timings[stage] >= 0.0
     if variant == "plain-hoc":
         assert report.weights is None

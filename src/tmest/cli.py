@@ -9,8 +9,9 @@ import argparse
 import json
 import sys
 
-from .core import (ACTIVATIONS, VARIANTS, EstimatorConfig, NoiseRatePair,
-                   OptimizerConfig, TransitionMatrix, load_dataset, save_dataset)
+from .core import (ACTIVATIONS, VARIANTS, DataError, EstimatorConfig,
+                   NoiseRatePair, OptimizerConfig, TransitionMatrix, load_dataset,
+                   save_dataset)
 from .evaluation import estimation_error, train_linear
 from .infotheory import (FDivergenceKind, build_weights, estimate_fmi_per_dim,
                          kl_order_gap, practical_gap)
@@ -23,9 +24,7 @@ def _cmd_estimate(args):
     config = EstimatorConfig(
         variant=args.variant, bins=args.bins, activation=args.activation,
         seed=args.seed,
-        optimizer=OptimizerConfig(max_iters=args.max_iters,
-                                  restarts=args.restarts,
-                                  tolerance=args.tolerance),
+        optimizer=OptimizerConfig(max_iters=args.max_iters, tolerance=args.tolerance),
     )
     true_t = TransitionMatrix.load(args.true_t) if args.true_t else None
     report = estimate(data, config, true_t=true_t)
@@ -122,7 +121,6 @@ def build_parser():
     pe.add_argument("--output", default=None)
     pe.add_argument("--true-t", dest="true_t", default=None)
     pe.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
-    pe.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
     pe.add_argument("--tolerance", type=float, default=OptimizerConfig.tolerance)
     pe.set_defaults(func=_cmd_estimate)
 
@@ -176,8 +174,12 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except DataError as exc:
+        parser.exit(2, f"tmest {args.command}: error: {exc}\n")
 
 
 if __name__ == "__main__":

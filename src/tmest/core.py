@@ -227,13 +227,18 @@ class NoiseRatePair:
 
 @dataclass
 class OptimizerConfig:
+    """Solver budget: each L-BFGS polish stops after `max_iters` iterations, or
+    once a step improves the loss by less than `tolerance / n` for n counted
+    triplets."""
+
     max_iters: int = 3000
-    restarts: int = 10
-    tolerance: float = 1e-8
+    tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise DataError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise DataError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise DataError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
 
 
 @dataclass

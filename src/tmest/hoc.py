@@ -10,10 +10,12 @@ where row i of TT (K x K^2) is t_i (x) t_i.
 `_moments` is the one implementation of this model; the exact statistics,
 the loss and its gradient all take their tensors from it.  The solver
 minimizes the squared mismatch between empirical and model frequencies over
-softmax-parameterized (T, p).
+softmax-parameterized (T, p), from a near-identity start and from the
+closed-form spectral solution of the moments.
 """
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
@@ -21,6 +23,10 @@ from scipy.optimize import linear_sum_assignment, minimize
 from .core import DataError, TransitionMatrix, _freeze, stage_rng
 
 _NORM_ATOL = 1e-9
+# sym(c2) counts as rank-deficient below this fraction of its top eigenvalue
+_RANK_RTOL = 1e-12
+# entries of the spectral start are clipped here before taking logs
+_START_FLOOR = 1e-12
 
 
 @dataclass
@@ -133,18 +139,52 @@ def _loss_and_grad(theta_t, theta_p, stats):
 
 
 def _descend(theta_t, theta_p, stats, cfg):
-    """Quasi-Newton descent on the softmax pre-activations."""
+    """Quasi-Newton descent on the softmax pre-activations.
+
+    The loss is below 1, so L-BFGS-B's relative decrease test (which divides
+    by max(|f|, 1)) is absolute: a polish stops once a step gains less than
+    `tolerance / n`, far below the multinomial noise (~1/n) of n counted
+    triplets, and at machine precision on exact statistics (n == 0).
+    """
     k = stats.k
 
     def fun_grad(v):
         loss, g_t, g_p = _loss_and_grad(v[:k * k].reshape(k, k), v[k * k:], stats)
         return loss, np.concatenate([g_t.ravel(), g_p])
 
+    ftol = cfg.tolerance / stats.n if stats.n > 0 else np.finfo(np.float64).eps
     res = minimize(fun_grad, np.concatenate([theta_t.ravel(), theta_p]), jac=True,
                    method="L-BFGS-B",
-                   options={"maxiter": cfg.max_iters, "ftol": 1e-18, "gtol": 1e-14})
+                   options={"maxiter": cfg.max_iters, "ftol": ftol, "gtol": 1e-14})
     return (res.x[:k * k].reshape(k, k), res.x[k * k:], float(res.fun),
             int(res.nit), bool(res.success))
+
+
+def _spectral_start(stats, rng):
+    """Softmax pre-activations of the closed-form moment solution, or None.
+
+    The moments are a symmetric three-view mixture, so with W whitening
+    sym(c2) (W' sym(c2) W = I) the orthonormal vectors mu_i = sqrt(p_i) W' t_i
+    are the eigenvectors of sym(c3)(W, W, W theta) for a random theta
+    (Jennrich's algorithm; Anandkumar et al., JMLR 2014).  Unwhitening gives
+    sqrt(p_i) t_i, whose entries sum to sqrt(p_i) because t_i is a
+    distribution.  Exact on exact statistics; None when sym(c2) is
+    rank-deficient or the recovered start is not finite.
+    """
+    s, u = np.linalg.eigh((stats.c2 + stats.c2.T) / 2)
+    if not s[0] > _RANK_RTOL * s[-1]:
+        return None
+    w = u / np.sqrt(s)
+    m3 = sum(stats.c3.transpose(axes) for axes in permutations(range(3))) / 6
+    _, v = np.linalg.eigh(w.T @ (m3 @ (w @ rng.normal(size=stats.k))) @ w)
+    b = ((u * np.sqrt(s)) @ v).T  # row i: +-sqrt(p_i) t_i
+    root_p = b.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(b / root_p[:, None], _START_FLOOR, None)
+    if not np.all(np.isfinite(t)):
+        return None
+    p = np.clip(root_p ** 2, _START_FLOOR, None)
+    return np.log(t / t.sum(axis=1, keepdims=True)), np.log(p / p.sum())
 
 
 def _maximize_trace(t, p):
@@ -159,27 +199,28 @@ def _maximize_trace(t, p):
 def solve_transition(stats, k, config, seed=0):
     """Recover (T, p) whose model consensus matches the counted frequencies.
 
-    Runs `restarts` random softmax initializations plus one near-identity
-    initialization (encoding the diagonally-dominant prior) and keeps the
-    lowest-loss solution, then permutes rows to maximize the trace.
+    Two deterministic starts are each polished once by L-BFGS: the
+    near-identity start (the diagonally-dominant prior, uniform p) and the
+    spectral start of `_spectral_start`, whose contraction vector is drawn
+    from the "optimizer" stream of `seed`.  The lower loss wins and its rows
+    are permuted to maximize the trace.  `iterations_used` totals both
+    polishes; `converged` is true only if the winning polish stopped on the
+    tolerance rule, not at `max_iters`.
     """
     if stats.k != k:
         raise DataError("statistics do not match the requested class count")
-    rng = stage_rng(seed, "optimizer")
-    cfg = config
+    starts = [(2.0 * np.eye(k), np.zeros(k))]  # near-identity T, uniform p
+    spectral = _spectral_start(stats, stage_rng(seed, "optimizer"))
+    if spectral is not None:
+        starts.append(spectral)
 
-    inits = [(2.0 * np.eye(k), np.zeros(k))]  # near-identity T, uniform p
-    for _ in range(cfg.restarts):
-        inits.append((rng.normal(scale=1.0, size=(k, k)),
-                      rng.normal(scale=1.0, size=k)))
+    best, iters = None, 0
+    for theta_t0, theta_p0 in starts:
+        polish = _descend(theta_t0, theta_p0, stats, config)
+        iters += polish[3]
+        if best is None or polish[2] < best[2]:
+            best = polish
 
-    best = None
-    for theta_t0, theta_p0 in inits:
-        theta_t, theta_p, loss, iters, conv = _descend(theta_t0, theta_p0, stats, cfg)
-        if best is None or loss < best[2]:
-            best = (theta_t, theta_p, loss, iters, conv)
-
-    theta_t, theta_p, loss, iters, conv = best
+    theta_t, theta_p, loss, _, conv = best
     t, p = _maximize_trace(_softmax(theta_t), _softmax(theta_p))
-    return HocSolution(TransitionMatrix(k, t, p=p), p, loss, iters,
-                       conv or loss <= cfg.tolerance)
+    return HocSolution(TransitionMatrix(k, t, p=p), p, loss, iters, conv)

@@ -184,12 +184,3 @@ def clusterability_rate(data, weights):
     ok = (c[trip.indices[:, 0]] == own) & (c[trip.indices[:, 1]] == own)
     return float(ok.mean())
 
-
-def dump_triplets_csv(triplets, path):
-    """Debug dump: one row per point with neighbor indices and labels."""
-    import csv
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "n1", "n2", "y_n", "y_n1", "y_n2"])
-        for i in range(triplets.n):
-            writer.writerow([triplets.rows[i], *triplets.indices[i], *triplets.labels[i]])

@@ -147,6 +147,20 @@ def test_train_forward_requires_t(noisy_csv, tmp_path):
               "--mode", "forward"])
 
 
+def test_estimate_rejects_bad_tolerance(noisy_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--input", noisy_csv[0], "--tolerance", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "tmest estimate: error: tolerance must be finite and > 0" in err
+    assert "Traceback" not in err
+
+
+def test_estimate_has_no_restarts_flag(noisy_csv):
+    with pytest.raises(SystemExit):
+        main(["estimate", "--input", noisy_csv[0], "--restarts", "3"])
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tmest as tm
-from tmest.core import DataError, EstimatorConfig, Report, stage_rng
+from tmest.core import DataError, EstimatorConfig, OptimizerConfig, Report, stage_rng
 from tmest.hoc import count_consensus, model_consensus
 
 
@@ -147,6 +147,21 @@ def test_estimator_config_validation():
         EstimatorConfig(bins=1)
     with pytest.raises(DataError):
         EstimatorConfig(activation="relu")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tolerance": 0.0}, {"tolerance": -1.0}, {"tolerance": float("nan")},
+    {"tolerance": float("inf")}, {"max_iters": -5}, {"max_iters": 0},
+    {"max_iters": 2.5}, {"max_iters": 100.0},
+])
+def test_optimizer_config_validation(kwargs):
+    with pytest.raises(DataError):
+        OptimizerConfig(**kwargs)
+
+
+def test_optimizer_config_accepts_positive_values():
+    cfg = OptimizerConfig(max_iters=np.int64(7), tolerance=1e-3)
+    assert cfg.max_iters == 7 and cfg.tolerance == 1e-3
 
 
 def test_stage_rng_deterministic_and_independent():

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tmest as tm
-from tmest.core import DataError, OptimizerConfig, TransitionMatrix
+from tmest.core import DataError, OptimizerConfig, TransitionMatrix, stage_rng
+from tmest.evaluation import estimation_error
 from tmest.hoc import (
     ConsensusStatistics,
     HocSolution,
     _loss_and_grad,
     _maximize_trace,
     _softmax,
+    _spectral_start,
     consensus_loss,
     count_consensus,
     model_consensus,
     solve_transition,
 )
+from tmest.noise import NoiseScheme, build_transition
 from tmest.similarity import NeighborTriplets
 
 
@@ -151,6 +155,62 @@ def test_exact_counts_recover_truth(t_true, p_true):
     assert np.max(np.abs(sol.p - np.asarray(p_true))) < 1e-4
     # the solution's loss never exceeds the loss at the truth (plus slack)
     assert sol.final_loss <= consensus_loss(t.t, np.asarray(p_true), stats) + 1e-9
+
+
+@pytest.mark.parametrize("k", [5, 10, 20])
+def test_oracle_round_trip_dirichlet(k):
+    # small classes (min p ~ 1e-3 .. 5e-5 here) make the near-identity polish
+    # stall far from the truth; the spectral start is exact on exact statistics
+    t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=0), k)
+    p = np.random.default_rng(0).dirichlet(np.ones(k))
+    sol = solve_transition(model_consensus(t, p), k, OptimizerConfig(), seed=0)
+    assert estimation_error(t, sol.t) <= 1e-6
+    assert sol.converged
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(2, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_oracle_round_trip_property(k, seed):
+    # random diagonally dominant T: diagonal 1 - u with u < 1/2, u spread over the row
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.05, 0.45, k)
+    t = tm.validate_transition(
+        [np.insert(u[i] * rng.dirichlet(np.ones(k - 1)), i, 1 - u[i]) for i in range(k)])
+    p = rng.dirichlet(np.ones(k))
+    sol = solve_transition(model_consensus(t, p), k, OptimizerConfig(), seed=seed)
+    assert estimation_error(t, sol.t) <= 1e-8
+    np.testing.assert_allclose(sol.p, p, atol=1e-8)
+    assert sol.converged
+
+
+def _sampled_stats(t, p, n, seed):
+    """Counted statistics of n triplets drawn i.i.d. from the consensus model."""
+    rng = np.random.default_rng(seed)
+    clean = rng.choice(t.k, size=n, p=p)
+    cum = np.cumsum(t.t, axis=1)
+    labels = (rng.random((n, 3))[..., None] > cum[clean][:, None, :]).sum(axis=2)
+    return count_consensus(_triplets(np.minimum(labels, t.k - 1)), t.k)
+
+
+def test_converged_false_at_max_iters():
+    t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
+    stats = _sampled_stats(t, np.full(10, 0.1), 20_000, seed=1)
+    capped = solve_transition(stats, 10, OptimizerConfig(max_iters=5), seed=0)
+    assert not capped.converged
+    assert capped.iterations_used == 10  # both polishes, capped at 5 each
+    assert solve_transition(stats, 10, OptimizerConfig(), seed=0).converged
+
+
+def test_spectral_start_exact_and_dropped_when_rank_deficient():
+    t = tm.validate_transition([[0.8, 0.1, 0.1], [0.05, 0.85, 0.1], [0.15, 0.05, 0.8]])
+    p = np.array([0.2, 0.5, 0.3])
+    theta_t, theta_p = _spectral_start(model_consensus(t, p), stage_rng(0, "optimizer"))
+    order = np.argmax(_softmax(theta_t), axis=1)
+    np.testing.assert_allclose(_softmax(theta_t)[np.argsort(order)], t.t, atol=1e-12)
+    np.testing.assert_allclose(_softmax(theta_p)[np.argsort(order)], p, atol=1e-12)
+    # two identical rows: sym(c2) has rank 2, so (T, p) is not identified
+    same = tm.validate_transition([[0.8, 0.2, 0.0], [0.8, 0.2, 0.0], [0.1, 0.1, 0.8]])
+    assert _spectral_start(model_consensus(same, p), stage_rng(0, "optimizer")) is None
 
 
 def test_solver_deterministic():

@@ -9,7 +9,6 @@ from tmest.similarity import (
     NeighborTriplets,
     SimilarityWeights,
     clusterability_rate,
-    dump_triplets_csv,
     get_2nn_triplets,
     soft_cosine,
 )
@@ -277,17 +276,3 @@ def test_clusterability_requires_clean_labels():
     data = tm.Dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, 20), 2)
     with pytest.raises(DataError):
         clusterability_rate(data, SimilarityWeights.identity())
-
-
-def test_dump_triplets_csv(tmp_path):
-    data = two_blob_dataset(1, n=30)
-    trip = get_2nn_triplets(data, SimilarityWeights.identity())
-    path = tmp_path / "trip.csv"
-    dump_triplets_csv(trip, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,n1,n2,y_n,y_n1,y_n2"
-    assert len(lines) == 31
-    first = [int(v) for v in lines[1].split(",")]
-    assert first[0] == 0
-    assert first[1:3] == trip.indices[0].tolist()
-    assert first[3:] == trip.labels[0].tolist()

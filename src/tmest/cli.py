@@ -65,6 +65,8 @@ def _cmd_inject_noise(args):
         data = type(data)(data.features, data.noisy_labels, data.k,
                           clean_labels=data.noisy_labels, ids=data.ids)
     if args.scheme == "dirichlet":
+        if args.e is None and args.r is None:
+            raise DataError("the dirichlet scheme needs --e or --r")
         e = args.e if args.e is not None else avg_noise_rate_from_r(args.r, data.k)
         scheme = NoiseScheme("dirichlet", avg_rate=e, seed=args.seed)
     elif args.scheme == "symmetric":
@@ -178,7 +180,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         parser.exit(2, f"tmest {args.command}: error: {exc}\n")
 
 

@@ -7,6 +7,7 @@ read-only) so they can be shared across workers without copying.
 import csv
 import json
 from dataclasses import dataclass, field, asdict
+from itertools import chain
 
 import numpy as np
 
@@ -86,72 +87,76 @@ def load_dataset(path, schema=None, k=None):
     """Read a dataset from CSV.
 
     Expected columns: ``f0..f{d-1}``, ``noisy_label`` and optionally
-    ``clean_label`` and ``id``.  ``schema`` maps these canonical names to
-    the actual column names in the file.  K is inferred as 1 + max label
-    unless given.
+    ``clean_label`` and ``id``, in any order and among other columns.
+    ``schema`` maps these canonical names to the actual column names in the
+    file.  Fields may be quoted, ``#`` is data, not a comment, and ``id`` is
+    read as text.  K is inferred as 1 + max label unless given.
     """
     schema = schema or {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataError(f"{path}: empty file")
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+        if not any(reader):  # stops at the first non-blank row
+            raise DataError(f"{path}: no data rows")
 
     def col(name):
         return schema.get(name, name)
 
+    pos = {name: i for i, name in enumerate(header)}
     noisy_col = col("noisy_label")
     clean_col = col("clean_label")
     id_col = col("id")
-    header = set(reader.fieldnames)
-    if noisy_col not in header:
+    if noisy_col not in pos:
         raise DataError(f"missing column '{noisy_col}'")
 
-    feat_cols = []
-    i = 0
-    while col(f"f{i}") in header:
-        feat_cols.append(col(f"f{i}"))
-        i += 1
-    if not feat_cols:
+    d = 0
+    while col(f"f{d}") in pos:
+        d += 1
+    if d == 0:
         raise DataError("no feature columns found (expected f0, f1, ...)")
 
+    fields = [("features", np.float64, (d,)), ("noisy", np.int64)]
+    usecols = [pos[col(f"f{i}")] for i in range(d)] + [pos[noisy_col]]
+    if clean_col in pos:
+        fields.append(("clean", np.int64))
+        usecols.append(pos[clean_col])
+    read = dict(delimiter=",", quotechar='"', comments=None, skiprows=1,
+                ndmin=1, encoding="utf-8")
     try:
-        features = np.array([[float(r[c]) for c in feat_cols] for r in rows])
-        noisy = np.array([int(r[noisy_col]) for r in rows])
+        table = np.loadtxt(path, dtype=fields, usecols=usecols, **read)
+        ids = (np.loadtxt(path, dtype=str, usecols=pos[id_col], **read).tolist()
+               if id_col in pos else None)
     except ValueError as exc:
         raise DataError(f"failed to parse {path}: {exc}") from None
-    if not np.all(np.isfinite(features)):
-        raise DataError("non-finite feature")
-    clean = None
-    if clean_col in header:
-        clean = np.array([int(r[clean_col]) for r in rows])
-    ids = [r[id_col] for r in rows] if id_col in header else None
+    noisy = table["noisy"]
+    clean = table["clean"] if clean_col in pos else None
 
     if k is None:
         k = int(noisy.max()) + 1 if clean is None else int(max(noisy.max(), clean.max())) + 1
         k = max(k, 2)
-    return Dataset(features, noisy, k, clean_labels=clean, ids=ids)
+    return Dataset(table["features"], noisy, k, clean_labels=clean, ids=ids)
 
 
 def save_dataset(data, path):
-    """Write a dataset to CSV with the canonical column layout."""
+    """Write a dataset to CSV with the canonical column layout.
+
+    Floats are written as their shortest round-tripping repr, so a saved
+    file loads back bit for bit.
+    """
+    header = [f"f{i}" for i in range(data.d)] + ["noisy_label"]
+    tails = [data.noisy_labels.tolist()]
+    if data.clean_labels is not None:
+        header.append("clean_label")
+        tails.append(data.clean_labels.tolist())
+    if data.ids is not None:
+        header.append("id")
+        tails.append(data.ids)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = [f"f{i}" for i in range(data.d)] + ["noisy_label"]
-        if data.clean_labels is not None:
-            header.append("clean_label")
-        if data.ids is not None:
-            header.append("id")
         writer.writerow(header)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.features[i]] + [int(data.noisy_labels[i])]
-            if data.clean_labels is not None:
-                row.append(int(data.clean_labels[i]))
-            if data.ids is not None:
-                row.append(data.ids[i])
-            writer.writerow(row)
+        writer.writerows(map(chain, data.features.tolist(), zip(*tails)))
 
 
 @dataclass
@@ -186,8 +191,11 @@ class TransitionMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(int(obj["k"]), np.array(obj["t"]),
-                   p=np.array(obj["p"]) if obj.get("p") is not None else None)
+        try:
+            k, t = int(obj["k"]), np.array(obj["t"])
+        except KeyError as exc:
+            raise DataError(f"transition matrix JSON lacks key {exc}") from None
+        return cls(k, t, p=np.array(obj["p"]) if obj.get("p") is not None else None)
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -202,8 +210,9 @@ class TransitionMatrix:
 def validate_transition(t, p=None):
     """Check row-stochasticity of a square matrix and wrap it.
 
-    Entries are returned unchanged; a row sum off by more than 1e-6 or a
-    negative entry is an error.
+    Entries are returned unchanged; a row sum off by more than ROW_SUM_ATOL
+    (1e-9), or an entry below -ROW_SUM_ATOL or above 1 + ROW_SUM_ATOL, is an
+    error.
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:

@@ -41,6 +41,9 @@ class SimilarityWeights:
                 raise DataError("full weights must be a square matrix")
             if np.max(np.abs(self.w - self.w.T)) > 1e-9:
                 raise DataError("full weight matrix must be symmetric")
+            evals = np.linalg.eigvalsh(self.w)
+            if evals[0] < -1e-9 * max(1.0, evals[-1]):
+                raise DataError("full weight matrix must be positive semidefinite")
         else:
             raise DataError(f"unknown weight form '{self.form}'")
 
@@ -56,11 +59,21 @@ class SimilarityWeights:
     def full(cls, mat):
         return cls("full", np.asarray(mat, dtype=np.float64))
 
-    def _check_dim(self, d):
-        if self.form == "diagonal" and self.w.shape[0] != d:
-            raise DataError("weight vector length does not match feature dimension")
-        if self.form == "full" and self.w.shape[0] != d:
-            raise DataError("weight matrix size does not match feature dimension")
+
+def _weighted_rows(features, weights):
+    """Rows mapped so that plain inner products realize x^T W x'.
+
+    Identity: x.  Diagonal: x * sqrt(w).  Full: x V sqrt(L), where
+    W = V L V^T is the eigendecomposition of the PSD matrix W.
+    """
+    if weights.w is not None and weights.w.shape[0] != features.shape[-1]:
+        raise DataError("weight size does not match the feature dimension")
+    if weights.form == "identity":
+        return features
+    if weights.form == "diagonal":
+        return features * np.sqrt(weights.w)
+    evals, evecs = np.linalg.eigh(weights.w)
+    return features @ (evecs * np.sqrt(np.maximum(evals, 0.0)))
 
 
 def soft_cosine(x, x2, weights):
@@ -69,22 +82,11 @@ def soft_cosine(x, x2, weights):
     Equals hard cosine for identity weights; requires both vectors to have
     strictly positive weighted norm.
     """
-    x = np.asarray(x, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    weights._check_dim(x.shape[0])
-    if weights.form == "identity":
-        num = x @ x2
-        n1, n2 = x @ x, x2 @ x2
-    elif weights.form == "diagonal":
-        num = (x * weights.w) @ x2
-        n1, n2 = (x * weights.w) @ x, (x2 * weights.w) @ x2
-    else:
-        wx = weights.w @ x2
-        num = x @ wx
-        n1, n2 = x @ weights.w @ x, x2 @ wx
+    a, b = _weighted_rows(np.array([x, x2], dtype=np.float64), weights)
+    n1, n2 = a @ a, b @ b
     if n1 <= 0 or n2 <= 0:
         raise DataError("degenerate vector under W")
-    return float(num / np.sqrt(n1 * n2))
+    return float(a @ b / np.sqrt(n1 * n2))
 
 
 @dataclass
@@ -114,17 +116,6 @@ class NeighborTriplets:
         return self.labels.shape[0]
 
 
-def _weighted_rows(features, weights):
-    """Rows scaled so plain inner products realize the weighted form.
-
-    For diagonal W the map x -> x * sqrt(w) is exact; the full form keeps the
-    explicit quadratic form instead (handled separately in the search).
-    """
-    if weights.form == "identity":
-        return features
-    return features * np.sqrt(weights.w)
-
-
 def get_2nn_triplets(data, weights):
     """Exact 2-NN of every row under soft-cosine distance 1 - Sim_W.
 
@@ -137,30 +128,22 @@ def get_2nn_triplets(data, weights):
     so ``triplets.rows`` lists the rows that were kept; fewer than 3 kept
     rows is an error.
     """
-    x = data.features
-    weights._check_dim(x.shape[1])
-
-    if weights.form == "full":
-        xa, xb = x @ weights.w, x          # xa[i] . xb[j] = x_i^T W x_j
-    else:
-        xa = xb = _weighted_rows(x, weights)
-    sq = np.einsum("ij,ij->i", xa, xb)
+    xw = _weighted_rows(data.features, weights)
+    sq = np.einsum("ij,ij->i", xw, xw)
     rows = np.flatnonzero(sq > 0)
     if rows.size < 3:
         raise DataError(f"need at least 3 rows with nonzero weighted norm for "
                         f"2-NN triplets, got {rows.size}")
-    if rows.size < x.shape[0]:
-        xa, xb, sq = xa[rows], xb[rows], sq[rows]
-    norms = np.sqrt(sq)[:, None]
-    xa = xa / norms
-    xb = xb / norms if weights.form == "full" else xa
+    if rows.size < xw.shape[0]:
+        xw, sq = xw[rows], sq[rows]
+    xw = xw / np.sqrt(sq)[:, None]
 
     n = rows.size
     nearest = np.empty((n, 2), dtype=np.int64)
     buf = np.empty((min(_CHUNK, n), n))
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        sims = np.matmul(xa[start:stop], xb.T, out=buf[:stop - start])
+        sims = np.matmul(xw[start:stop], xw.T, out=buf[:stop - start])
         q = np.arange(stop - start)
         sims[q, q + start] = -np.inf
         first = sims.argmax(axis=1)

@@ -5,7 +5,6 @@ rescaled per-axis so the transformed data has identity covariance (denominator
 N, matching the second-moment convention).
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,32 +54,6 @@ class WhiteningTransform:
         if x.shape[-1] != self.d:
             raise DataError(f"dimension mismatch: transform expects d={self.d}")
         return (x - self.mean) @ self.eigenvectors / np.sqrt(self.eigenvalues)
-
-    def reconstruct(self, z):
-        """Inverse map; exact only when no rank truncation occurred."""
-        z = np.asarray(z, dtype=np.float64)
-        return z * np.sqrt(self.eigenvalues) @ self.eigenvectors.T + self.mean
-
-    def to_json(self):
-        return {
-            "mean": self.mean.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "eigenvectors": self.eigenvectors.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(np.array(obj["mean"]), np.array(obj["eigenvectors"]),
-                   np.array(obj["eigenvalues"]))
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
 
 
 def fit_whitening(data, eigen_floor=1e-10):

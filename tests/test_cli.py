@@ -161,6 +161,36 @@ def test_estimate_has_no_restarts_flag(noisy_csv):
         main(["estimate", "--input", noisy_csv[0], "--restarts", "3"])
 
 
+def _error_of(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_inject_noise_dirichlet_needs_rate(noisy_csv, tmp_path, capsys):
+    err = _error_of(capsys, ["inject-noise", "--input", noisy_csv[0],
+                             "--output", str(tmp_path / "o.csv"), "--scheme", "dirichlet"])
+    assert "tmest inject-noise: error:" in err
+    assert "--e" in err and "--r" in err
+
+
+def test_missing_input_file_is_reported(tmp_path, capsys):
+    missing = str(tmp_path / "absent.csv")
+    err = _error_of(capsys, ["estimate", "--input", missing])
+    assert err.startswith("tmest estimate: error:")
+    assert "absent.csv" in err
+
+
+def test_eval_rejects_matrix_json_without_keys(noisy_csv, tmp_path, capsys):
+    est_path = tmp_path / "est.json"
+    est_path.write_text(json.dumps({"t": [[0.5, 0.5], [0.5, 0.5]]}))
+    err = _error_of(capsys, ["eval", "--estimated", str(est_path), "--true", noisy_csv[1]])
+    assert "tmest eval: error:" in err and "'k'" in err
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -74,6 +74,49 @@ def test_schema_mapping(tmp_csv):
     assert (data.n, data.d) == (4, 3)
 
 
+def test_ids_round_trip_as_text(tmp_path):
+    ids = ["a,b", 'say "hi"', "x#1", "", " pad "]
+    data = tm.Dataset(np.arange(10.0).reshape(5, 2), [0, 1, 0, 1, 1], 2, ids=ids)
+    path = str(tmp_path / "ids.csv")
+    tm.save_dataset(data, path)
+    assert tm.load_dataset(path).ids == ids
+
+
+def test_reordered_and_extra_columns(tmp_csv):
+    text = ("id,noisy_label,extra,f1,f0\n"
+            "r0,1,zz,0.5,-1.0\n"
+            "r1,0,,2.0,3.0\n"
+            '"r,2",1,"q,q",-0.25,7\n')
+    data = tm.load_dataset(tmp_csv("cols.csv", text))
+    np.testing.assert_array_equal(data.features, [[-1.0, 0.5], [3.0, 2.0], [7.0, -0.25]])
+    assert data.noisy_labels.tolist() == [1, 0, 1]
+    assert data.ids == ["r0", "r1", "r,2"]
+    assert data.clean_labels is None
+
+
+@pytest.mark.parametrize("text", [
+    CSV_BASIC.replace("0.3,0\n", "0.3,1.0\n"),
+    CSV_BASIC.replace("1.0,1.1,1.2,1\n", "1.0,1\n"),
+    CSV_BASIC.replace("noisy_label", "noisy_label,clean_label")
+    .replace(",0\n", ",0,0\n").replace(",1\n", ",1,x\n"),
+], ids=["float-noisy-label", "ragged-row", "non-integer-clean-label"])
+def test_unparsable_rows_raise_data_error(tmp_csv, text):
+    with pytest.raises(DataError, match="failed to parse"):
+        tm.load_dataset(tmp_csv("bad.csv", text))
+
+
+def test_save_dataset_byte_layout(tmp_path):
+    data = tm.Dataset([[0.1, -2.0], [1e-20, 3.0], [1 / 3, -0.0]], [0, 1, 1], 2,
+                      clean_labels=[0, 1, 0], ids=["a", "b,c", ""])
+    path = tmp_path / "out.csv"
+    tm.save_dataset(data, str(path))
+    assert path.read_bytes() == (
+        b"f0,f1,noisy_label,clean_label,id\r\n"
+        b"0.1,-2.0,0,0,a\r\n"
+        b'1e-20,3.0,1,1,"b,c"\r\n'
+        b"0.3333333333333333,-0.0,1,0,\r\n")
+
+
 def test_validate_transition_identity():
     t = tm.validate_transition(np.eye(2))
     np.testing.assert_array_equal(t.t, np.eye(2))
@@ -112,6 +155,12 @@ def test_transition_json_round_trip(tmp_path):
     back = tm.TransitionMatrix.load(path)
     np.testing.assert_array_equal(back.t, t.t)
     np.testing.assert_array_equal(back.p, t.p)
+
+
+@pytest.mark.parametrize("obj", [{"t": [[1.0, 0.0], [0.0, 1.0]]}, {"k": 2}])
+def test_transition_from_json_missing_key(obj):
+    with pytest.raises(DataError, match="lacks key"):
+        tm.TransitionMatrix.from_json(obj)
 
 
 def test_report_round_trip(tmp_path):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tmest as tm
-from tmest.core import DataError, EstimatorConfig, Report
+from tmest.core import VARIANTS, DataError, EstimatorConfig, Report
 from tmest.infotheory import FDivergenceKind
 from tmest.noise import NoiseScheme, build_transition, inject_noise
 from tmest.pipeline import VariantSpec, estimate
@@ -74,6 +75,23 @@ def test_zero_row_is_excluded_not_fatal():
     assert report.consensus.n == data.n
     np.testing.assert_array_equal(report.consensus.c3, base.consensus.c3)
     np.testing.assert_array_equal(report.estimated_t.t, base.estimated_t.t)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_estimate_invariant_to_row_order(seed):
+    # continuous data has no exact ties, so the neighbor triplets follow the
+    # rows and the counted statistics, hence the solve, do not move
+    data, _ = _noisy_blobs(seed, n=1500, e1=0.2, e2=0.2, d_noise=6)
+    perm = np.random.default_rng(seed).permutation(data.n)
+    moved = tm.Dataset(data.features[perm], data.noisy_labels[perm], data.k)
+    for variant in VARIANTS:
+        config = EstimatorConfig(variant=variant)
+        base, other = estimate(data, config), estimate(moved, config)
+        for name in ("c1", "c2", "c3"):
+            np.testing.assert_array_equal(getattr(other.consensus, name),
+                                          getattr(base.consensus, name))
+        np.testing.assert_array_equal(other.estimated_t.t, base.estimated_t.t)
 
 
 def test_error_is_none_without_truth():

@@ -83,6 +83,12 @@ def test_asymmetric_full_matrix_rejected():
         SimilarityWeights.full(bad)
 
 
+def test_indefinite_full_matrix_rejected():
+    with pytest.raises(DataError, match="positive semidefinite"):
+        SimilarityWeights.full([[1.0, 2.0], [2.0, 1.0]])
+    SimilarityWeights.full([[1.0, 1.0], [1.0, 1.0]])  # singular PSD is fine
+
+
 def test_dimension_mismatch():
     with pytest.raises(DataError):
         soft_cosine(X1, X3, SimilarityWeights.diagonal([1.0, 1.0]))

@@ -3,7 +3,7 @@ import pytest
 
 import tmest as tm
 from tmest.core import DataError
-from tmest.whitening import WhiteningTransform, apply_whitening, fit_whitening
+from tmest.whitening import apply_whitening, fit_whitening
 
 from conftest import exact_cov_features
 
@@ -75,14 +75,6 @@ def test_apply_whitening_dimension_mismatch():
         w.project(np.zeros(4))
 
 
-def test_reconstruction_inverts_projection():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(120, 4)) @ rng.normal(size=(4, 4)) + 3.0
-    w = fit_whitening(_dataset(x))
-    assert w.r == 4
-    np.testing.assert_allclose(w.reconstruct(w.project(x)), x, atol=1e-8)
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_fitting_set_covariance_is_identity(seed):
     rng = np.random.default_rng(seed)
@@ -105,16 +97,6 @@ def test_labels_carried_through():
     out = apply_whitening(fit_whitening(data), data)
     np.testing.assert_array_equal(out.noisy_labels, data.noisy_labels)
     np.testing.assert_array_equal(out.clean_labels, data.clean_labels)
-
-
-def test_transform_json_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    w = fit_whitening(_dataset(rng.normal(size=(60, 4))))
-    path = str(tmp_path / "w.json")
-    w.save(path)
-    back = WhiteningTransform.load(path)
-    held = rng.normal(size=4)
-    np.testing.assert_allclose(back.project(held), w.project(held), atol=1e-15)
 
 
 def test_eigenvector_sign_convention():

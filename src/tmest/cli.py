@@ -11,7 +11,7 @@ import sys
 
 from .core import (ACTIVATIONS, VARIANTS, DataError, EstimatorConfig,
                    NoiseRatePair, OptimizerConfig, TransitionMatrix, load_dataset,
-                   save_dataset)
+                   load_json, save_dataset)
 from .evaluation import estimation_error, train_linear
 from .infotheory import (FDivergenceKind, build_weights, estimate_fmi_per_dim,
                          kl_order_gap, practical_gap)
@@ -82,8 +82,7 @@ def _cmd_inject_noise(args):
 
 
 def _cmd_eval(args):
-    with open(args.estimated, encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = load_json(args.estimated)
     est = TransitionMatrix.from_json(obj["estimated_t"] if "estimated_t" in obj else obj)
     true_t = TransitionMatrix.load(args.true)
     print(estimation_error(true_t, est))
@@ -96,7 +95,7 @@ def _cmd_train(args):
     t = None
     if args.mode == "forward":
         if args.t is None:
-            raise SystemExit("forward mode requires --t")
+            raise DataError("forward mode requires --t")
         t = TransitionMatrix.load(args.t)
     res = train_linear(train, test, t=t, epochs=args.epochs,
                        step_size=args.step_size, seed=args.seed)

@@ -21,6 +21,15 @@ class DataError(ValueError):
     """Raised when an input file or matrix violates the data contract."""
 
 
+def load_json(path):
+    """Decode a JSON file; a file that is not JSON is a `DataError`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _freeze(a):
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -203,8 +212,7 @@ class TransitionMatrix:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))
 
 
 def validate_transition(t, p=None):
@@ -236,8 +244,8 @@ class NoiseRatePair:
 
 @dataclass
 class OptimizerConfig:
-    """Solver budget: each L-BFGS polish stops after `max_iters` iterations, or
-    once a step improves the loss by less than `tolerance / n` for n counted
+    """Solver budget: each polish stops after `max_iters` trial steps, or once
+    a step improves the loss by at most `tolerance / n` for n counted
     triplets."""
 
     max_iters: int = 3000
@@ -335,5 +343,4 @@ class Report:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))

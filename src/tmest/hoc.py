@@ -10,15 +10,16 @@ where row i of TT (K x K^2) is t_i (x) t_i.
 `_moments` is the one implementation of this model; the exact statistics,
 the loss and its gradient all take their tensors from it.  The solver
 minimizes the squared mismatch between empirical and model frequencies over
-softmax-parameterized (T, p), from a near-identity start and from the
-closed-form spectral solution of the moments.
+softmax-parameterized (T, p) by Levenberg-Marquardt steps on the closed-form
+Gauss-Newton matrix of `_gauss_newton`, from the closed-form spectral
+solution of the moments and from a near-identity start.
 """
 
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
+from scipy.optimize import linear_sum_assignment
 
 from .core import DataError, TransitionMatrix, _freeze, stage_rng
 
@@ -138,26 +139,86 @@ def _loss_and_grad(theta_t, theta_p, stats):
     return loss, g_theta_t, g_theta_p
 
 
-def _descend(theta_t, theta_p, stats, cfg):
-    """Quasi-Newton descent on the softmax pre-activations.
+def _gauss_newton(t, p):
+    """Gauss-Newton matrix J'J of the residuals (c1, c2, c3 minus the stats).
 
-    The loss is below 1, so L-BFGS-B's relative decrease test (which divides
-    by max(|f|, 1)) is absolute: a polish stops once a step gains less than
-    `tolerance / n`, far below the multinomial noise (~1/n) of n counted
-    triplets, and at machine precision on exact statistics (n == 0).
+    J is the Jacobian of the stacked residuals w.r.t. the softmax
+    pre-activations (theta_t row-major, then theta_p).  With G = TT' and
+    W = 1 + 2G + 3G^2, the inner products of the moment derivatives are, in
+    (T, p) space,
+
+        [(i,a),(j,c)] = p_i p_j (W_ij [a == c] + (2 + 6G)_ij t_ic t_ja),
+        [(i,a), p_j]  = p_i W_ij t_ja,
+        [p_i, p_j]    = (G + G^2 + G^3)_ij,
+
+    and both sides are then chained through the row softmax.
+    """
+    k = t.shape[0]
+    g = t @ t.T
+    w = 1 + 2 * g + 3 * g ** 2
+    pp = np.outer(p, p)
+    h = np.empty((k * k + k, k * k + k))
+    h[:k * k, :k * k] = ((pp * w)[:, None, :, None] * np.eye(k)[None, :, None, :]
+                         + (pp * (2 + 6 * g))[:, None, :, None]
+                         * t[:, None, None, :] * t.T[None, :, :, None]).reshape(k * k, k * k)
+    h[:k * k, k * k:] = ((p[:, None] * w)[:, None, :] * t.T[None, :, :]).reshape(k * k, k)
+    h[k * k:, :k * k] = h[:k * k, k * k:].T
+    h[k * k:, k * k:] = g + g ** 2 + g ** 3
+    for _ in range(2):  # chain the rows, transpose, chain the rows again
+        ht = h[:k * k].reshape(k, k, -1)
+        ht = t[:, :, None] * (ht - (t[:, :, None] * ht).sum(axis=1, keepdims=True))
+        hp = h[k * k:]
+        hp = p[:, None] * (hp - (p[:, None] * hp).sum(axis=0))
+        h = np.concatenate([ht.reshape(k * k, -1), hp]).T
+    return h
+
+
+def _stop_gain(stats, cfg):
+    """Loss gain below which a polish stops: `tolerance / n`, or machine
+    epsilon on exact statistics (n == 0)."""
+    return cfg.tolerance / stats.n if stats.n > 0 else np.finfo(np.float64).eps
+
+
+def _descend(theta_t, theta_p, stats, cfg):
+    """Levenberg-Marquardt descent on the softmax pre-activations.
+
+    Each trial step solves (H + mu I) d = -g with H the closed-form
+    Gauss-Newton matrix and g = J'r, half the loss gradient.  A step that
+    lowers the loss is accepted and mu divided by 3; otherwise mu doubles.
+    The polish converges once an accepted step, or the gain the quadratic
+    model predicts for a trial step, is at most `tolerance / n` -- far below
+    the multinomial noise (~1/n) of n counted triplets, and machine precision
+    on exact statistics.  At most `max_iters` trial steps are taken.
     """
     k = stats.k
+    ftol = _stop_gain(stats, cfg)
 
-    def fun_grad(v):
-        loss, g_t, g_p = _loss_and_grad(v[:k * k].reshape(k, k), v[k * k:], stats)
-        return loss, np.concatenate([g_t.ravel(), g_p])
+    def split(x):
+        return x[:k * k].reshape(k, k), x[k * k:]
 
-    ftol = cfg.tolerance / stats.n if stats.n > 0 else np.finfo(np.float64).eps
-    res = minimize(fun_grad, np.concatenate([theta_t.ravel(), theta_p]), jac=True,
-                   method="L-BFGS-B",
-                   options={"maxiter": cfg.max_iters, "ftol": ftol, "gtol": 1e-14})
-    return (res.x[:k * k].reshape(k, k), res.x[k * k:], float(res.fun),
-            int(res.nit), bool(res.success))
+    def evaluate(x):
+        loss, g_t, g_p = _loss_and_grad(*split(x), stats)
+        return loss, np.concatenate([g_t.ravel(), g_p]) / 2
+
+    x = np.concatenate([theta_t.ravel(), theta_p])
+    loss, g = evaluate(x)
+    h = _gauss_newton(*map(_softmax, split(x)))
+    mu = 1e-3 * h.diagonal().max()
+    for step in range(1, cfg.max_iters + 1):
+        d = np.linalg.solve(h + mu * np.eye(x.size), -g)
+        if -(2 * g @ d + d @ h @ d) <= ftol:
+            return (*split(x), loss, step, True)
+        trial_loss, trial_g = evaluate(x + d)
+        if trial_loss < loss:
+            gain = loss - trial_loss
+            x, loss, g = x + d, trial_loss, trial_g
+            if gain <= ftol:
+                return (*split(x), loss, step, True)
+            h = _gauss_newton(*map(_softmax, split(x)))
+            mu /= 3
+        else:
+            mu *= 2
+    return (*split(x), loss, cfg.max_iters, False)
 
 
 def _spectral_start(stats, rng):
@@ -199,20 +260,21 @@ def _maximize_trace(t, p):
 def solve_transition(stats, k, config, seed=0):
     """Recover (T, p) whose model consensus matches the counted frequencies.
 
-    Two deterministic starts are each polished once by L-BFGS: the
-    near-identity start (the diagonally-dominant prior, uniform p) and the
+    Up to two deterministic starts are polished by `_descend`: first the
     spectral start of `_spectral_start`, whose contraction vector is drawn
-    from the "optimizer" stream of `seed`.  The lower loss wins and its rows
-    are permuted to maximize the trace.  `iterations_used` totals both
-    polishes; `converged` is true only if the winning polish stopped on the
-    tolerance rule, not at `max_iters`.
+    from the "optimizer" stream of `seed`, when it exists; then the
+    near-identity start (the diagonally-dominant prior, uniform p), unless
+    the best loss so far is already at most the stopping gain of `_descend`.
+    The lowest loss wins (a tie keeps the earlier polish) and its rows are
+    permuted to maximize the trace.  `iterations_used` totals the trial steps
+    of every polish that ran; `converged` is true only if the winning polish
+    stopped on the tolerance rule, not at `max_iters`.
     """
     if stats.k != k:
         raise DataError("statistics do not match the requested class count")
-    starts = [(2.0 * np.eye(k), np.zeros(k))]  # near-identity T, uniform p
     spectral = _spectral_start(stats, stage_rng(seed, "optimizer"))
-    if spectral is not None:
-        starts.append(spectral)
+    starts = [] if spectral is None else [spectral]
+    starts.append((2.0 * np.eye(k), np.zeros(k)))  # near-identity T, uniform p
 
     best, iters = None, 0
     for theta_t0, theta_p0 in starts:
@@ -220,6 +282,8 @@ def solve_transition(stats, k, config, seed=0):
         iters += polish[3]
         if best is None or polish[2] < best[2]:
             best = polish
+        if best[2] <= _stop_gain(stats, config):
+            break
 
     theta_t, theta_p, loss, _, conv = best
     t, p = _maximize_trace(_softmax(theta_t), _softmax(theta_p))

@@ -137,14 +137,17 @@ def test_train_command(noisy_csv, tmp_path, capsys):
     assert payload["best"] > 0.9
 
 
-def test_train_forward_requires_t(noisy_csv, tmp_path):
+def test_train_forward_requires_t(noisy_csv, tmp_path, capsys):
     csv_path, _, _ = noisy_csv
     test_data = two_blob_dataset(10, n=100)
     test_path = tmp_path / "t.csv"
     tm.save_dataset(test_data, str(test_path))
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["train", "--train", csv_path, "--test", str(test_path),
               "--mode", "forward"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("tmest train: error: forward mode requires --t")
 
 
 def test_estimate_rejects_bad_tolerance(noisy_csv, capsys):
@@ -189,6 +192,14 @@ def test_eval_rejects_matrix_json_without_keys(noisy_csv, tmp_path, capsys):
     est_path.write_text(json.dumps({"t": [[0.5, 0.5], [0.5, 0.5]]}))
     err = _error_of(capsys, ["eval", "--estimated", str(est_path), "--true", noisy_csv[1]])
     assert "tmest eval: error:" in err and "'k'" in err
+
+
+def test_eval_rejects_non_json_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json at all\n")
+    err = _error_of(capsys, ["eval", "--estimated", str(bad), "--true", str(bad)])
+    assert err.startswith("tmest eval: error:")
+    assert "bad.json: not valid JSON" in err
 
 
 def test_unknown_command_rejected():

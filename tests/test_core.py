@@ -163,6 +163,14 @@ def test_transition_from_json_missing_key(obj):
         tm.TransitionMatrix.from_json(obj)
 
 
+@pytest.mark.parametrize("load", [tm.TransitionMatrix.load, Report.load])
+def test_load_rejects_non_json(tmp_path, load):
+    path = tmp_path / "bad.json"
+    path.write_text("k,t\n2,0.5\n")
+    with pytest.raises(DataError, match="bad.json: not valid JSON"):
+        load(str(path))
+
+
 def test_report_round_trip(tmp_path):
     t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
     stats = model_consensus(t, [0.5, 0.5])

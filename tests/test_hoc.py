@@ -5,11 +5,15 @@ from hypothesis import given, settings, strategies as st
 import tmest as tm
 from tmest.core import DataError, OptimizerConfig, TransitionMatrix, stage_rng
 from tmest.evaluation import estimation_error
+import tmest.hoc
 from tmest.hoc import (
     ConsensusStatistics,
     HocSolution,
+    _descend,
+    _gauss_newton,
     _loss_and_grad,
     _maximize_trace,
+    _moments,
     _softmax,
     _spectral_start,
     consensus_loss,
@@ -141,6 +145,38 @@ def test_analytic_gradient_matches_finite_difference():
             assert g_p[i] == pytest.approx((lp - lm) / (2 * eps), abs=1e-7)
 
 
+def _residuals(x, stats):
+    k = stats.k
+    c1, c2, c3, _ = _moments(_softmax(x[:k * k].reshape(k, k)), _softmax(x[k * k:]))
+    return np.concatenate([(c1 - stats.c1).ravel(), (c2 - stats.c2).ravel(),
+                           (c3 - stats.c3).ravel()])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_gauss_newton_matches_finite_difference_jacobian(k):
+    rng = np.random.default_rng(k)
+    stats = count_consensus(_triplets(rng.integers(0, k, (300, 3))), k)
+    x = rng.normal(size=k * k + k)
+    eps = 1e-6
+    jac = np.stack([(_residuals(x + eps * e, stats) - _residuals(x - eps * e, stats))
+                    / (2 * eps) for e in np.eye(x.size)], axis=1)
+    h = _gauss_newton(_softmax(x[:k * k].reshape(k, k)), _softmax(x[k * k:]))
+    np.testing.assert_allclose(h, jac.T @ jac, rtol=0, atol=1e-9)
+    # the gradient the descent steps along is J'r
+    _, g_t, g_p = _loss_and_grad(x[:k * k].reshape(k, k), x[k * k:], stats)
+    np.testing.assert_allclose(np.concatenate([g_t.ravel(), g_p]) / 2,
+                               jac.T @ _residuals(x, stats), rtol=0, atol=1e-9)
+
+
+def test_polish_from_truth_stops_at_once():
+    t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=2), 6)
+    p = np.random.default_rng(2).dirichlet(np.ones(6))
+    _, _, loss, steps, converged = _descend(np.log(t.t), np.log(p), model_consensus(t, p),
+                                            OptimizerConfig())
+    assert converged and steps <= 3
+    assert loss <= 1e-28
+
+
 @pytest.mark.parametrize("t_true,p_true", [
     ([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5]),
     ([[0.9, 0.1], [0.4, 0.6]], [0.3, 0.7]),
@@ -199,6 +235,51 @@ def test_converged_false_at_max_iters():
     assert not capped.converged
     assert capped.iterations_used == 10  # both polishes, capped at 5 each
     assert solve_transition(stats, 10, OptimizerConfig(), seed=0).converged
+
+
+def test_polish_stops_when_no_gain_is_predicted():
+    # with a stop gain below any representable gain, only the predicted-gain
+    # rule ends a polish that already sits at its minimum
+    t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
+    stats = _sampled_stats(t, np.full(10, 0.1), 20_000, seed=1)
+    theta_t, theta_p, loss, _, _ = _descend(2.0 * np.eye(10), np.zeros(10), stats,
+                                            OptimizerConfig())
+    _, _, tight_loss, _, converged = _descend(
+        theta_t, theta_p, stats, OptimizerConfig(max_iters=500, tolerance=1e-300))
+    assert converged
+    assert tight_loss <= loss
+
+
+def _count_polishes(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append((args, _descend(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(tmest.hoc, "_descend", counted)
+    return calls
+
+
+def test_oracle_skips_near_identity_polish(monkeypatch):
+    calls = _count_polishes(monkeypatch)
+    t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=0), 20)
+    p = np.random.default_rng(0).dirichlet(np.ones(20))
+    sol = solve_transition(model_consensus(t, p), 20, OptimizerConfig(), seed=0)
+    assert sol.converged and sol.iterations_used <= 2
+    assert len(calls) == 1
+
+
+def test_counted_statistics_run_both_polishes(monkeypatch):
+    calls = _count_polishes(monkeypatch)
+    t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
+    stats = _sampled_stats(t, np.full(10, 0.1), 10_000, seed=3)
+    sol = solve_transition(stats, 10, OptimizerConfig(), seed=0)
+    assert len(calls) == 2
+    # the spectral start goes first, the near-identity start second
+    np.testing.assert_array_equal(calls[1][0][0], 2.0 * np.eye(10))
+    assert sol.iterations_used == sum(polish[3] for _, polish in calls)
+    assert sol.converged
 
 
 def test_spectral_start_exact_and_dropped_when_rank_deficient():

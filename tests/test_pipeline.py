@@ -94,6 +94,37 @@ def test_estimate_invariant_to_row_order(seed):
         np.testing.assert_array_equal(other.estimated_t.t, base.estimated_t.t)
 
 
+def _assert_same_estimate(report, base):
+    for name in ("c1", "c2", "c3"):
+        np.testing.assert_array_equal(getattr(report.consensus, name),
+                                      getattr(base.consensus, name))
+    np.testing.assert_array_equal(report.estimated_t.t, base.estimated_t.t)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), s=st.integers(-10, 10))
+def test_whitened_variants_invariant_to_power_of_two_scale(seed, s):
+    # x -> 2^s x is exact in floating point, and whitening undoes it bit for bit
+    data, _ = _noisy_blobs(seed, n=1500, e1=0.2, e2=0.2, d_noise=6)
+    scaled = data.with_features(data.features * 2.0 ** s)
+    for variant in ("a-tv", "a-kl"):
+        config = EstimatorConfig(variant=variant)
+        _assert_same_estimate(estimate(scaled, config), estimate(data, config))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_whitened_variants_invariant_to_shift(seed):
+    # centering removes a shift up to rounding, which moves no neighbor of
+    # tie-free continuous data; per-feature rescaling is not covered, since
+    # the f-MI weights act on whitened axes that such a rescaling rotates
+    data, _ = _noisy_blobs(seed, n=1500, e1=0.2, e2=0.2, d_noise=6)
+    shift = np.random.default_rng(seed).uniform(-5, 5, data.d)
+    shifted = data.with_features(data.features + shift)
+    for variant in ("a-tv", "a-kl"):
+        config = EstimatorConfig(variant=variant)
+        _assert_same_estimate(estimate(shifted, config), estimate(data, config))
+
+
 def test_error_is_none_without_truth():
     data, _ = _noisy_blobs(3, n=800)
     report = estimate(data, EstimatorConfig(variant="plain-hoc"))

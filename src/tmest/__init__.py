@@ -2,8 +2,8 @@
 statistics with information-weighted soft cosine similarity."""
 
 from .core import (Dataset, EstimatorConfig, NoiseRatePair, OptimizerConfig,
-                   Report, TransitionMatrix, load_dataset, save_dataset,
-                   validate_transition)
+                   Report, TransitionMatrix, dump_json, load_dataset, save_dataset,
+                   save_json, validate_transition)
 from .evaluation import DownstreamResult, estimation_error, train_linear
 from .hoc import (ConsensusStatistics, HocSolution, count_consensus,
                   model_consensus, solve_transition)
@@ -12,7 +12,7 @@ from .infotheory import (FDivergenceKind, MIEstimate, WeightVector,
                          kl_noise_bias, kl_order_gap, practical_gap)
 from .noise import (NoiseScheme, avg_noise_rate_from_r, build_transition,
                     inject_noise)
-from .pipeline import VariantSpec, estimate
+from .pipeline import estimate
 from .similarity import (NeighborTriplets, SimilarityWeights,
                          clusterability_rate, get_2nn_triplets, soft_cosine)
 from .whitening import WhiteningTransform, apply_whitening, fit_whitening

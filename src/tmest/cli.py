@@ -8,10 +8,11 @@ Subcommands: estimate (full pipeline), mi (per-dimension MI/weights), bound
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .core import (ACTIVATIONS, VARIANTS, DataError, EstimatorConfig,
-                   NoiseRatePair, OptimizerConfig, TransitionMatrix, load_dataset,
-                   load_json, save_dataset)
+                   NoiseRatePair, OptimizerConfig, TransitionMatrix, dump_json,
+                   load_dataset, load_json, save_dataset, save_json)
 from .evaluation import estimation_error, train_linear
 from .infotheory import (FDivergenceKind, build_weights, estimate_fmi_per_dim,
                          kl_order_gap, practical_gap)
@@ -29,8 +30,8 @@ def _cmd_estimate(args):
     true_t = TransitionMatrix.load(args.true_t) if args.true_t else None
     report = estimate(data, config, true_t=true_t)
     if args.output:
-        report.save(args.output)
-    json.dump(report.to_json(), sys.stdout, indent=2)
+        save_json(report, args.output)
+    dump_json(report, sys.stdout)
     print()
     return 0
 
@@ -62,8 +63,7 @@ def _cmd_inject_noise(args):
     data = load_dataset(args.input, k=args.k)
     if data.clean_labels is None:
         # treat the noisy column as clean ground truth to corrupt
-        data = type(data)(data.features, data.noisy_labels, data.k,
-                          clean_labels=data.noisy_labels, ids=data.ids)
+        data = replace(data, clean_labels=data.noisy_labels)
     if args.scheme == "dirichlet":
         if args.e is None and args.r is None:
             raise DataError("the dirichlet scheme needs --e or --r")
@@ -76,14 +76,16 @@ def _cmd_inject_noise(args):
     t = build_transition(scheme, data.k)
     noisy = inject_noise(data, t, seed=args.seed)
     save_dataset(noisy, args.output)
-    t.save(args.output + ".true_t.json")
+    save_json(t, args.output + ".true_t.json")
     print(f"wrote {args.output} and {args.output}.true_t.json")
     return 0
 
 
 def _cmd_eval(args):
     obj = load_json(args.estimated)
-    est = TransitionMatrix.from_json(obj["estimated_t"] if "estimated_t" in obj else obj)
+    if isinstance(obj, dict) and "estimated_t" in obj:  # a report file
+        obj = obj["estimated_t"]
+    est = TransitionMatrix.from_json(obj)
     true_t = TransitionMatrix.load(args.true)
     print(estimation_error(true_t, est))
     return 0

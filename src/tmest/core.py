@@ -13,7 +13,14 @@ import numpy as np
 
 ROW_SUM_ATOL = 1e-9
 
-VARIANTS = ("plain-hoc", "x-kl", "x-tv", "a-kl", "a-tv")
+# variant -> (whiten first, f-divergence of the dimension weights or None)
+VARIANTS = {
+    "plain-hoc": (False, None),
+    "x-kl": (False, "kl"),
+    "x-tv": (False, "tv"),
+    "a-kl": (True, "kl"),
+    "a-tv": (True, "tv"),
+}
 ACTIVATIONS = ("minmax", "log-minmax")
 
 
@@ -26,8 +33,18 @@ def load_json(path):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from None
+
+
+def dump_json(obj, fh):
+    """Write a dataclass (nested dataclasses and arrays included) as JSON."""
+    json.dump(asdict(obj), fh, indent=2, default=lambda a: a.tolist())
+
+
+def save_json(obj, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        dump_json(obj, fh)
 
 
 def _freeze(a):
@@ -81,15 +98,6 @@ class Dataset:
     @property
     def d(self):
         return self.features.shape[1]
-
-    def with_features(self, features):
-        """Copy of this dataset with the feature matrix replaced."""
-        return Dataset(features, self.noisy_labels, self.k,
-                       clean_labels=self.clean_labels, ids=self.ids)
-
-    def with_noisy_labels(self, noisy_labels):
-        return Dataset(self.features, noisy_labels, self.k,
-                       clean_labels=self.clean_labels, ids=self.ids)
 
 
 def load_dataset(path, schema=None, k=None):
@@ -180,7 +188,7 @@ class TransitionMatrix:
         self.t = _freeze(np.asarray(self.t, dtype=np.float64))
         if self.t.shape != (self.k, self.k):
             raise DataError(f"expected a {self.k}x{self.k} matrix, got {self.t.shape}")
-        if np.any(self.t < -ROW_SUM_ATOL) or np.any(self.t > 1 + ROW_SUM_ATOL):
+        if not np.all((self.t >= -ROW_SUM_ATOL) & (self.t <= 1 + ROW_SUM_ATOL)):
             raise DataError("transition entries must lie in [0, 1]")
         bad = np.abs(self.t.sum(axis=1) - 1.0) > ROW_SUM_ATOL
         if np.any(bad):
@@ -189,26 +197,24 @@ class TransitionMatrix:
             self.p = _freeze(np.asarray(self.p, dtype=np.float64))
             if self.p.shape != (self.k,):
                 raise DataError("prior must have length K")
-            if np.any(self.p < -ROW_SUM_ATOL) or abs(self.p.sum() - 1.0) > ROW_SUM_ATOL:
+            if not (np.all(self.p >= -ROW_SUM_ATOL)
+                    and abs(self.p.sum() - 1.0) <= ROW_SUM_ATOL):
                 raise DataError("prior must be a probability vector")
-
-    def to_json(self):
-        obj = {"k": self.k, "t": self.t.tolist()}
-        if self.p is not None:
-            obj["p"] = self.p.tolist()
-        return obj
 
     @classmethod
     def from_json(cls, obj):
+        """Read the object `dump_json` writes: `k`, `t` and `p` (may be null)."""
+        if not isinstance(obj, dict):
+            raise DataError("transition matrix JSON must be an object with keys "
+                            f"'k' and 't', got {type(obj).__name__}")
         try:
-            k, t = int(obj["k"]), np.array(obj["t"])
+            k, t = int(obj["k"]), np.array(obj["t"], dtype=np.float64)
+            p = None if obj.get("p") is None else np.array(obj["p"], dtype=np.float64)
         except KeyError as exc:
             raise DataError(f"transition matrix JSON lacks key {exc}") from None
-        return cls(k, t, p=np.array(obj["p"]) if obj.get("p") is not None else None)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed transition matrix JSON: {exc}") from None
+        return cls(k, t, p=p)
 
     @classmethod
     def load(cls, path):
@@ -269,14 +275,12 @@ class EstimatorConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise DataError(f"unknown variant '{self.variant}' (choose from {VARIANTS})")
+            raise DataError(f"unknown variant '{self.variant}' "
+                            f"(choose from {', '.join(VARIANTS)})")
         if self.activation not in ACTIVATIONS:
             raise DataError(f"unknown activation '{self.activation}'")
         if self.bins < 2:
             raise DataError("bins must be >= 2")
-
-    def to_json(self):
-        return asdict(self)
 
 
 # Stage names used to derive independent, reproducible RNG streams from the
@@ -297,8 +301,8 @@ class Report:
     """Everything a single estimation run produces."""
 
     estimated_t: TransitionMatrix
-    consensus: "object"  # ConsensusStatistics; kept loose to avoid an import cycle
-    weights: object | None = None  # WeightVector
+    consensus: object  # hoc.ConsensusStatistics
+    weights: object | None = None  # infotheory.WeightVector
     error: float | None = None
     converged: bool = True
     config_echo: dict = field(default_factory=dict)
@@ -308,39 +312,3 @@ class Report:
     def __post_init__(self):
         if self.error is not None and not (0.0 <= self.error <= 1.0):
             raise DataError(f"error must lie in [0, 1], got {self.error}")
-
-    def to_json(self):
-        obj = {
-            "estimated_t": self.estimated_t.to_json(),
-            "consensus": self.consensus.to_json() if self.consensus is not None else None,
-            "weights": self.weights.to_json() if self.weights is not None else None,
-            "error": self.error,
-            "converged": self.converged,
-            "config_echo": self.config_echo,
-            "timings": self.timings,
-            "excluded_rows": self.excluded_rows,
-        }
-        return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        from .hoc import ConsensusStatistics
-        from .infotheory import WeightVector
-        return cls(
-            estimated_t=TransitionMatrix.from_json(obj["estimated_t"]),
-            consensus=ConsensusStatistics.from_json(obj["consensus"]) if obj.get("consensus") else None,
-            weights=WeightVector.from_json(obj["weights"]) if obj.get("weights") else None,
-            error=obj.get("error"),
-            converged=obj.get("converged", True),
-            config_echo=obj.get("config_echo", {}),
-            timings=obj.get("timings", {}),
-            excluded_rows=int(obj.get("excluded_rows", 0)),
-        )
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path):
-        return cls.from_json(load_json(path))

@@ -54,15 +54,6 @@ class ConsensusStatistics:
     def k(self):
         return self.c1.shape[0]
 
-    def to_json(self):
-        return {"c1": self.c1.tolist(), "c2": self.c2.tolist(),
-                "c3": self.c3.tolist(), "n": self.n}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(np.array(obj["c1"]), np.array(obj["c2"]),
-                   np.array(obj["c3"]), int(obj["n"]))
-
 
 def count_consensus(triplets, k):
     """Empirical pattern frequencies of the (y_n, y_n1, y_n2) triplets."""

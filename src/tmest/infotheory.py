@@ -93,13 +93,6 @@ class WeightVector:
         if self.w.min() <= 0 or abs(self.w.max() - 1.0) > 1e-12:
             raise DataError("weights must lie in (0, 1] with max exactly 1")
 
-    def to_json(self):
-        return {"w": self.w.tolist(), "activation": self.activation}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(np.array(obj["w"]), obj.get("activation", "minmax"))
-
 
 def build_weights(mi, activation="minmax"):
     """Turn per-dimension MI into weights via an order-preserving activation.

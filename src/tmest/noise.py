@@ -5,7 +5,7 @@ diagonally-dominant scheme where each row's noise level is jittered around an
 average rate and the off-diagonal mass is a Dirichlet(1) draw.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,4 +90,4 @@ def inject_noise(data, t, seed=0):
         mask = data.clean_labels == i
         noisy[mask] = np.searchsorted(cum[i], u[mask], side="right")
     noisy = np.minimum(noisy, data.k - 1)  # guard against cumsum rounding
-    return data.with_noisy_labels(noisy)
+    return replace(data, noisy_labels=noisy)

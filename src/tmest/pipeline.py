@@ -6,11 +6,9 @@ raw features), a-kl / a-tv (whiten first, weights on the whitened axes).
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 
-import numpy as np
-
-from .core import DataError, Report
+from .core import VARIANTS, Report
 from .evaluation import estimation_error
 from .hoc import count_consensus, solve_transition
 from .infotheory import FDivergenceKind, estimate_fmi_per_dim, build_weights
@@ -18,46 +16,26 @@ from .similarity import SimilarityWeights, get_2nn_triplets
 from .whitening import fit_whitening, apply_whitening
 
 
-@dataclass
-class VariantSpec:
-    whiten: bool
-    divergence: FDivergenceKind | None   # None for plain-hoc
-    activation: str
-
-    @classmethod
-    def parse(cls, variant, activation="minmax"):
-        if variant == "plain-hoc":
-            return cls(False, None, activation)
-        try:
-            prefix, div = variant.split("-")
-            kind = FDivergenceKind(div)
-        except ValueError:
-            raise DataError(f"unknown variant '{variant}'") from None
-        if prefix not in ("x", "a"):
-            raise DataError(f"unknown variant '{variant}'")
-        return cls(prefix == "a", kind, activation)
-
-
 def estimate(data, config, true_t=None):
     """Run the full pipeline on a noisy dataset and assemble a Report."""
-    spec = VariantSpec.parse(config.variant, config.activation)
+    whiten, divergence = VARIANTS[config.variant]
     timings = {}
     work = data
 
     t0 = time.perf_counter()
-    if spec.whiten:
+    if whiten:
         transform = fit_whitening(data, config.eigen_floor)
         work = apply_whitening(transform, data)
     timings["whitening"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     weights_vec = None
-    if spec.divergence is None:
+    if divergence is None:
         sim_weights = SimilarityWeights.identity()
     else:
         mi = estimate_fmi_per_dim(work.features, work.noisy_labels,
-                                  spec.divergence, config.bins)
-        weights_vec = build_weights(mi, spec.activation)
+                                  FDivergenceKind(divergence), config.bins)
+        weights_vec = build_weights(mi, config.activation)
         sim_weights = SimilarityWeights.diagonal(weights_vec.w)
     timings["weights"] = time.perf_counter() - t0
 
@@ -83,7 +61,7 @@ def estimate(data, config, true_t=None):
         weights=weights_vec,
         error=error,
         converged=solution.converged,
-        config_echo=config.to_json(),
+        config_echo=asdict(config),
         timings=timings,
         excluded_rows=data.n - triplets.n,
     )

@@ -5,7 +5,7 @@ rescaled per-axis so the transformed data has identity covariance (denominator
 N, matching the second-moment convention).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,4 +84,4 @@ def fit_whitening(data, eigen_floor=1e-10):
 
 def apply_whitening(transform, data):
     """Replace the dataset's features by their whitened coordinates."""
-    return data.with_features(transform.project(data.features))
+    return replace(data, features=transform.project(data.features))

@@ -18,7 +18,7 @@ def noisy_csv(tmp_path):
     path = tmp_path / "noisy.csv"
     tm.save_dataset(noisy, str(path))
     t_path = tmp_path / "true_t.json"
-    t.save(str(t_path))
+    tm.save_json(t, str(t_path))
     return str(path), str(t_path), t
 
 
@@ -34,6 +34,14 @@ def test_estimate_command(noisy_csv, tmp_path, capsys):
     assert on_disk["estimated_t"]["t"] == payload["estimated_t"]["t"]
     est = np.array(payload["estimated_t"]["t"])
     np.testing.assert_allclose(est.sum(axis=1), [1.0, 1.0], atol=1e-8)
+
+
+def test_estimate_stdout_matches_output(noisy_csv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    rc = main(["estimate", "--input", noisy_csv[0], "--variant", "a-tv",
+               "--output", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == out.read_text() + "\n"
 
 
 def test_estimate_defaults_match_config(noisy_csv, monkeypatch):
@@ -107,7 +115,7 @@ def test_eval_command(noisy_csv, tmp_path, capsys):
     _, t_path, t = noisy_csv
     est = tm.validate_transition([[0.5, 0.5], [0.5, 0.5]])
     est_path = tmp_path / "est.json"
-    est.save(str(est_path))
+    tm.save_json(est, str(est_path))
     rc = main(["eval", "--estimated", str(est_path), "--true", t_path])
     assert rc == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(0.2, abs=1e-12)
@@ -192,6 +200,20 @@ def test_eval_rejects_matrix_json_without_keys(noisy_csv, tmp_path, capsys):
     est_path.write_text(json.dumps({"t": [[0.5, 0.5], [0.5, 0.5]]}))
     err = _error_of(capsys, ["eval", "--estimated", str(est_path), "--true", noisy_csv[1]])
     assert "tmest eval: error:" in err and "'k'" in err
+
+
+@pytest.mark.parametrize("role", ["--estimated", "--true"])
+@pytest.mark.parametrize("text", [
+    "[1, 2]", "5", '{"k": "x", "t": 3}', '{"k": 2, "t": [[0.5, 0.5], [1.0]]}',
+    '{"k": 2, "t": [[null, null], [null, null]]}', '{"estimated_t": 5}',
+], ids=["list", "number", "k-not-int", "ragged-t", "null-entries", "report-of-number"])
+def test_eval_rejects_malformed_matrix_json(noisy_csv, tmp_path, capsys, text, role):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = noisy_csv[1]
+    est, true = (str(bad), good) if role == "--estimated" else (good, str(bad))
+    err = _error_of(capsys, ["eval", "--estimated", est, "--true", true])
+    assert err.startswith("tmest eval: error:")
 
 
 def test_eval_rejects_non_json_file(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import json
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
 import tmest as tm
-from tmest.core import DataError, EstimatorConfig, OptimizerConfig, Report, stage_rng
+from tmest.core import (DataError, EstimatorConfig, OptimizerConfig, Report, load_json,
+                        stage_rng)
 from tmest.hoc import count_consensus, model_consensus
 
 
@@ -142,6 +146,18 @@ def test_validate_transition_not_square():
         tm.validate_transition([[0.5, 0.5]])
 
 
+@pytest.mark.parametrize("t", [[[np.nan, np.nan], [np.nan, np.nan]],
+                               [[0.8, np.nan], [0.1, 0.9]]])
+def test_validate_transition_nan_entry(t):
+    with pytest.raises(DataError, match="entries"):
+        tm.validate_transition(t)
+
+
+def test_nan_prior_rejected():
+    with pytest.raises(DataError, match="prior"):
+        tm.TransitionMatrix(2, np.eye(2), p=[np.nan, np.nan])
+
+
 def test_dataset_is_immutable():
     data = tm.Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2)
     with pytest.raises(ValueError):
@@ -151,7 +167,7 @@ def test_dataset_is_immutable():
 def test_transition_json_round_trip(tmp_path):
     t = tm.TransitionMatrix(2, [[0.8, 0.2], [0.1, 0.9]], p=[0.4, 0.6])
     path = str(tmp_path / "t.json")
-    t.save(path)
+    tm.save_json(t, path)
     back = tm.TransitionMatrix.load(path)
     np.testing.assert_array_equal(back.t, t.t)
     np.testing.assert_array_equal(back.p, t.p)
@@ -163,7 +179,24 @@ def test_transition_from_json_missing_key(obj):
         tm.TransitionMatrix.from_json(obj)
 
 
-@pytest.mark.parametrize("load", [tm.TransitionMatrix.load, Report.load])
+def test_matrix_without_prior_writes_null(tmp_path):
+    path = tmp_path / "t.json"
+    tm.save_json(tm.validate_transition([[0.8, 0.2], [0.1, 0.9]]), str(path))
+    assert json.loads(path.read_text()) == {"k": 2, "t": [[0.8, 0.2], [0.1, 0.9]],
+                                            "p": None}
+    assert tm.TransitionMatrix.load(str(path)).p is None
+
+
+@pytest.mark.parametrize("obj", [
+    "k", {"k": None, "t": [[1.0]]}, {"k": 2, "t": [["a", "b"], ["c", "d"]]},
+])
+def test_transition_from_json_malformed(obj):
+    with pytest.raises(DataError):
+        tm.TransitionMatrix.from_json(obj)
+
+
+@pytest.mark.parametrize("load", [tm.TransitionMatrix.load, load_json],
+                         ids=["load0", "load1"])
 def test_load_rejects_non_json(tmp_path, load):
     path = tmp_path / "bad.json"
     path.write_text("k,t\n2,0.5\n")
@@ -171,24 +204,41 @@ def test_load_rejects_non_json(tmp_path, load):
         load(str(path))
 
 
-def test_report_round_trip(tmp_path):
-    t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
-    stats = model_consensus(t, [0.5, 0.5])
+def test_load_rejects_non_utf8_json(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"k": "\xff"}')
+    with pytest.raises(DataError, match="bad.json: not valid JSON"):
+        tm.TransitionMatrix.load(str(path))
+
+
+def test_report_json_has_every_field(tmp_path):
+    t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]], p=[0.4, 0.6])
+    stats = model_consensus(t)
     report = Report(estimated_t=t, consensus=stats,
                     weights=tm.WeightVector(np.array([1.0, 0.5])),
-                    error=0.01, config_echo=EstimatorConfig().to_json(),
+                    error=0.01, config_echo=asdict(EstimatorConfig()),
                     timings={"solve": 0.1}, excluded_rows=2)
-    path = str(tmp_path / "r.json")
-    report.save(path)
-    back = Report.load(path)
-    np.testing.assert_array_equal(back.estimated_t.t, t.t)
-    np.testing.assert_allclose(back.consensus.c3, stats.c3)
-    np.testing.assert_array_equal(back.weights.w, report.weights.w)
-    assert back.error == report.error
-    assert back.config_echo == report.config_echo
-    assert back.excluded_rows == 2
-    # the embedded matrix always re-validates
-    tm.validate_transition(back.estimated_t.t)
+    path = tmp_path / "r.json"
+    tm.save_json(report, str(path))
+    obj = json.loads(path.read_text())
+    assert list(obj) == [f.name for f in fields(Report)]
+    assert obj == {
+        "estimated_t": {"k": 2, "t": [[0.7, 0.3], [0.3, 0.7]], "p": [0.4, 0.6]},
+        "consensus": {"c1": stats.c1.tolist(), "c2": stats.c2.tolist(),
+                      "c3": stats.c3.tolist(), "n": 0},
+        "weights": {"w": [1.0, 0.5], "activation": "minmax"},
+        "error": 0.01,
+        "converged": True,
+        "config_echo": {"variant": "plain-hoc", "bins": 15, "activation": "minmax",
+                        "optimizer": {"max_iters": 3000, "tolerance": 1e-6},
+                        "seed": 0, "eigen_floor": 1e-10},
+        "timings": {"solve": 0.1},
+        "excluded_rows": 2,
+    }
+    # the embedded matrix reads back through the one reader
+    back = tm.TransitionMatrix.from_json(obj["estimated_t"])
+    np.testing.assert_array_equal(back.t, t.t)
+    np.testing.assert_array_equal(back.p, t.p)
 
 
 def test_report_error_range():

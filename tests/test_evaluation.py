@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_train_input_checks():
 
 def test_train_degenerate_labels():
     data = two_blob_dataset(5, n=50)
-    one_class = data.with_noisy_labels(np.zeros(50, dtype=int))
+    one_class = replace(data, noisy_labels=np.zeros(50, dtype=int))
     with pytest.raises(DataError, match="single class"):
         train_linear(one_class, data, epochs=5)
 

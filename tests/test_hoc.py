@@ -103,13 +103,6 @@ def test_consensus_statistics_invariants():
                             np.full((2, 2, 2), 0.125), 10)
 
 
-def test_consensus_json_round_trip():
-    t = tm.validate_transition([[0.8, 0.2], [0.1, 0.9]])
-    stats = model_consensus(t, [0.4, 0.6])
-    back = ConsensusStatistics.from_json(stats.to_json())
-    np.testing.assert_allclose(back.c3, stats.c3, atol=1e-15)
-
-
 def test_loss_zero_at_truth():
     t = tm.validate_transition([[0.8, 0.2], [0.25, 0.75]])
     p = np.array([0.35, 0.65])

@@ -85,7 +85,7 @@ def _cmd_eval(args):
     obj = load_json(args.estimated)
     if isinstance(obj, dict) and "estimated_t" in obj:  # a report file
         obj = obj["estimated_t"]
-    est = TransitionMatrix.from_json(obj)
+    est = TransitionMatrix.from_json_file(obj, args.estimated)
     true_t = TransitionMatrix.load(args.true)
     print(estimation_error(true_t, est))
     return 0
@@ -123,8 +123,10 @@ def build_parser():
     pe.add_argument("--k", type=int, default=None)
     pe.add_argument("--output", default=None)
     pe.add_argument("--true-t", dest="true_t", default=None)
-    pe.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
-    pe.add_argument("--tolerance", type=float, default=OptimizerConfig.tolerance)
+    pe.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters,
+                    help="EM iteration cap per solver start")
+    pe.add_argument("--tolerance", type=float, default=OptimizerConfig.tolerance,
+                    help="EM stops at a log-likelihood gain <= TOLERANCE / N")
     pe.set_defaults(func=_cmd_estimate)
 
     pm = sub.add_parser("mi", help="per-dimension MI and weights as CSV")

@@ -110,13 +110,16 @@ def load_dataset(path, schema=None, k=None):
     read as text.  K is inferred as 1 + max label unless given.
     """
     schema = schema or {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if not any(reader):  # stops at the first non-blank row
-            raise DataError(f"{path}: no data rows")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if not any(reader):  # stops at the first non-blank row
+                raise DataError(f"{path}: no data rows")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
     def col(name):
         return schema.get(name, name)
@@ -126,13 +129,13 @@ def load_dataset(path, schema=None, k=None):
     clean_col = col("clean_label")
     id_col = col("id")
     if noisy_col not in pos:
-        raise DataError(f"missing column '{noisy_col}'")
+        raise DataError(f"{path}: missing column '{noisy_col}'")
 
     d = 0
     while col(f"f{d}") in pos:
         d += 1
     if d == 0:
-        raise DataError("no feature columns found (expected f0, f1, ...)")
+        raise DataError(f"{path}: no feature columns found (expected f0, f1, ...)")
 
     fields = [("features", np.float64, (d,)), ("noisy", np.int64)]
     usecols = [pos[col(f"f{i}")] for i in range(d)] + [pos[noisy_col]]
@@ -146,7 +149,7 @@ def load_dataset(path, schema=None, k=None):
         ids = (np.loadtxt(path, dtype=str, usecols=pos[id_col], **read).tolist()
                if id_col in pos else None)
     except ValueError as exc:
-        raise DataError(f"failed to parse {path}: {exc}") from None
+        raise DataError(f"{path}: failed to parse: {exc}") from None
     noisy = table["noisy"]
     clean = table["clean"] if clean_col in pos else None
 
@@ -218,7 +221,15 @@ class TransitionMatrix:
 
     @classmethod
     def load(cls, path):
-        return cls.from_json(load_json(path))
+        return cls.from_json_file(load_json(path), path)
+
+    @classmethod
+    def from_json_file(cls, obj, path):
+        """`from_json` of an object read from `path`; errors name the file."""
+        try:
+            return cls.from_json(obj)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def validate_transition(t, p=None):
@@ -250,9 +261,9 @@ class NoiseRatePair:
 
 @dataclass
 class OptimizerConfig:
-    """Solver budget: each polish stops after `max_iters` trial steps, or once
-    a step improves the loss by at most `tolerance / n` for n counted
-    triplets."""
+    """Solver budget: EM from each start stops after `max_iters` iterations,
+    or once an iteration gains at most `tolerance / n` in the per-triplet
+    log-likelihood for n counted triplets."""
 
     max_iters: int = 3000
     tolerance: float = 1e-6

@@ -195,6 +195,13 @@ def test_missing_input_file_is_reported(tmp_path, capsys):
     assert "absent.csv" in err
 
 
+def test_non_utf8_input_is_reported(tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"f0,noisy_label,caf\xe9\n0.1,0,a\n0.2,1,b\n0.3,0,c\n")
+    err = _error_of(capsys, ["estimate", "--input", str(bad)])
+    assert err.startswith(f"tmest estimate: error: {bad}: not UTF-8 text")
+
+
 def test_eval_rejects_matrix_json_without_keys(noisy_csv, tmp_path, capsys):
     est_path = tmp_path / "est.json"
     est_path.write_text(json.dumps({"t": [[0.5, 0.5], [0.5, 0.5]]}))
@@ -214,6 +221,7 @@ def test_eval_rejects_malformed_matrix_json(noisy_csv, tmp_path, capsys, text, r
     est, true = (str(bad), good) if role == "--estimated" else (good, str(bad))
     err = _error_of(capsys, ["eval", "--estimated", est, "--true", true])
     assert err.startswith("tmest eval: error:")
+    assert str(bad) in err
 
 
 def test_eval_rejects_non_json_file(tmp_path, capsys):

@@ -34,8 +34,28 @@ def test_load_rejects_nan(tmp_csv):
 
 def test_load_rejects_missing_column(tmp_csv):
     path = tmp_csv("bad.csv", CSV_BASIC.replace("noisy_label", "label"))
-    with pytest.raises(DataError, match="missing column"):
+    with pytest.raises(DataError, match="bad.csv: missing column"):
         tm.load_dataset(path)
+    path = tmp_csv("nofeat.csv", CSV_BASIC.replace("f0", "x0"))
+    with pytest.raises(DataError, match="nofeat.csv: no feature columns"):
+        tm.load_dataset(path)
+
+
+@pytest.mark.parametrize("late", [False, True], ids=["in-header", "past-first-read"])
+def test_load_rejects_non_utf8_csv(tmp_path, late):
+    # a Latin-1 \xe9 either in the header or far past the first decoded chunk
+    rows = CSV_BASIC.splitlines()
+    header, body = rows[0] + ",id", [r + ",a" for r in rows[1:]] * 5000
+    if late:
+        body[-1] = body[-1][:-1] + "caf\xe9"
+    else:
+        header += ",nom\xe9"
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("\n".join([header] + body).encode("latin-1") + b"\n")
+    with pytest.raises(DataError) as exc:
+        tm.load_dataset(str(path))
+    assert str(exc.value).startswith(f"{path}: ")
+    assert "xe9" in str(exc.value)
 
 
 def test_load_rejects_too_few_rows(tmp_csv):

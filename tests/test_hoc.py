@@ -9,14 +9,10 @@ import tmest.hoc
 from tmest.hoc import (
     ConsensusStatistics,
     HocSolution,
-    _descend,
-    _gauss_newton,
-    _loss_and_grad,
+    _em,
     _maximize_trace,
-    _moments,
-    _softmax,
     _spectral_start,
-    consensus_loss,
+    _stop_gain,
     count_consensus,
     model_consensus,
     solve_transition,
@@ -30,6 +26,15 @@ def _triplets(labels):
     n = labels.shape[0]
     idx = np.column_stack([(np.arange(n) + 1) % n, (np.arange(n) + 2) % n])
     return NeighborTriplets(labels, idx)
+
+
+def _sampled_stats(t, p, n, seed):
+    """Counted statistics of n triplets drawn i.i.d. from the consensus model."""
+    rng = np.random.default_rng(seed)
+    clean = rng.choice(t.k, size=n, p=p)
+    cum = np.cumsum(t.t, axis=1)
+    labels = (rng.random((n, 3))[..., None] > cum[clean][:, None, :]).sum(axis=2)
+    return count_consensus(_triplets(np.minimum(labels, t.k - 1)), t.k)
 
 
 def test_count_consensus_hand_case():
@@ -51,6 +56,9 @@ def test_count_consensus_normalization():
     assert stats.c1.sum() == pytest.approx(1.0, abs=1e-12)
     assert stats.c2.sum() == pytest.approx(1.0, abs=1e-12)
     assert stats.c3.sum() == pytest.approx(1.0, abs=1e-12)
+    # c1 and c2 are the marginals of c3, so the solver reads c3 alone
+    np.testing.assert_allclose(stats.c1, stats.c3.sum(axis=(1, 2)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(stats.c2, stats.c3.sum(axis=2), rtol=0, atol=1e-15)
 
 
 def test_count_consensus_label_out_of_range():
@@ -103,71 +111,44 @@ def test_consensus_statistics_invariants():
                             np.full((2, 2, 2), 0.125), 10)
 
 
+def _kl(stats, t, p):
+    """Sum of c3 log(c3/m3) over the observed cells, from the model tensors."""
+    m3 = model_consensus(tm.validate_transition(t), p).c3
+    seen = stats.c3 > 0
+    return float((stats.c3[seen] * np.log(stats.c3[seen] / m3[seen])).sum())
+
+
 def test_loss_zero_at_truth():
+    # final_loss is the KL divergence of the counts from the returned fit
     t = tm.validate_transition([[0.8, 0.2], [0.25, 0.75]])
     p = np.array([0.35, 0.65])
-    stats = model_consensus(t, p)
-    assert consensus_loss(t.t, p, stats) <= 1e-30
-    assert consensus_loss(np.eye(2), p, stats) > 1e-4
+    assert abs(solve_transition(model_consensus(t, p), 2, OptimizerConfig()).final_loss) <= 1e-15
+    stats = _sampled_stats(t, p, 2000, seed=0)
+    sol = solve_transition(stats, 2, OptimizerConfig())
+    assert sol.final_loss == pytest.approx(_kl(stats, sol.t.t, sol.p), rel=1e-9)
+    assert 0 < sol.final_loss < _kl(stats, t.t, p)
 
 
-def test_analytic_gradient_matches_finite_difference():
-    rng = np.random.default_rng(1)
-    for k in (2, 3, 5, 10):
-        # non-symmetric empirical tensors, as produced by ordered counts
-        labels = rng.integers(0, k, (300, 3))
-        stats = count_consensus(_triplets(labels), k)
-        theta_t = rng.normal(size=(k, k))
-        theta_p = rng.normal(size=k)
-        loss, g_t, g_p = _loss_and_grad(theta_t, theta_p, stats)
-        assert loss == pytest.approx(
-            consensus_loss(_softmax(theta_t), _softmax(theta_p), stats), rel=1e-12)
-        eps = 1e-6
-        for i in range(k):
-            for j in range(k):
-                d = np.zeros((k, k))
-                d[i, j] = eps
-                lp, _, _ = _loss_and_grad(theta_t + d, theta_p, stats)
-                lm, _, _ = _loss_and_grad(theta_t - d, theta_p, stats)
-                assert g_t[i, j] == pytest.approx((lp - lm) / (2 * eps), abs=1e-7)
-        for i in range(k):
-            d = np.zeros(k)
-            d[i] = eps
-            lp, _, _ = _loss_and_grad(theta_t, theta_p + d, stats)
-            lm, _, _ = _loss_and_grad(theta_t, theta_p - d, stats)
-            assert g_p[i] == pytest.approx((lp - lm) / (2 * eps), abs=1e-7)
-
-
-def _residuals(x, stats):
-    k = stats.k
-    c1, c2, c3, _ = _moments(_softmax(x[:k * k].reshape(k, k)), _softmax(x[k * k:]))
-    return np.concatenate([(c1 - stats.c1).ravel(), (c2 - stats.c2).ravel(),
-                           (c3 - stats.c3).ravel()])
-
-
-@pytest.mark.parametrize("k", [2, 3, 5])
-def test_gauss_newton_matches_finite_difference_jacobian(k):
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+def test_em_log_likelihood_never_decreases(k):
     rng = np.random.default_rng(k)
-    stats = count_consensus(_triplets(rng.integers(0, k, (300, 3))), k)
-    x = rng.normal(size=k * k + k)
-    eps = 1e-6
-    jac = np.stack([(_residuals(x + eps * e, stats) - _residuals(x - eps * e, stats))
-                    / (2 * eps) for e in np.eye(x.size)], axis=1)
-    h = _gauss_newton(_softmax(x[:k * k].reshape(k, k)), _softmax(x[k * k:]))
-    np.testing.assert_allclose(h, jac.T @ jac, rtol=0, atol=1e-9)
-    # the gradient the descent steps along is J'r
-    _, g_t, g_p = _loss_and_grad(x[:k * k].reshape(k, k), x[k * k:], stats)
-    np.testing.assert_allclose(np.concatenate([g_t.ravel(), g_p]) / 2,
-                               jac.T @ _residuals(x, stats), rtol=0, atol=1e-9)
+    t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=k), k)
+    stats = _sampled_stats(t, rng.dirichlet(np.ones(k)), 3000, seed=k)
+    t0, p0 = rng.dirichlet(np.ones(k), size=k), rng.dirichlet(np.ones(k))
+    losses = [_em(t0, p0, stats, OptimizerConfig(max_iters=m))[2] for m in range(1, 40)]
+    assert np.all(np.diff(losses) <= 1e-15)
+    assert losses[-1] < losses[0]
 
 
 def test_polish_from_truth_stops_at_once():
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=2), 6)
     p = np.random.default_rng(2).dirichlet(np.ones(6))
-    _, _, loss, steps, converged = _descend(np.log(t.t), np.log(p), model_consensus(t, p),
-                                            OptimizerConfig())
-    assert converged and steps <= 3
-    assert loss <= 1e-28
+    t_em, p_em, loss, iters, converged = _em(t.t, p, model_consensus(t, p),
+                                             OptimizerConfig())
+    assert converged and iters <= 2
+    assert abs(loss) <= 1e-15
+    np.testing.assert_allclose(t_em, t.t, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(p_em, p, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("t_true,p_true", [
@@ -182,14 +163,14 @@ def test_exact_counts_recover_truth(t_true, p_true):
     assert sol.converged
     assert np.max(np.abs(sol.t.t - t.t)) < 1e-4
     assert np.max(np.abs(sol.p - np.asarray(p_true))) < 1e-4
-    # the solution's loss never exceeds the loss at the truth (plus slack)
-    assert sol.final_loss <= consensus_loss(t.t, np.asarray(p_true), stats) + 1e-9
+    # the KL divergence from exact statistics is 0 at the truth
+    assert abs(sol.final_loss) <= 1e-12
 
 
 @pytest.mark.parametrize("k", [5, 10, 20])
 def test_oracle_round_trip_dirichlet(k):
-    # small classes (min p ~ 1e-3 .. 5e-5 here) make the near-identity polish
-    # stall far from the truth; the spectral start is exact on exact statistics
+    # small classes (min p ~ 1e-3 .. 5e-5 here) keep EM from the near-identity
+    # start short of the truth after max_iters; the spectral start is exact
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=0), k)
     p = np.random.default_rng(0).dirichlet(np.ones(k))
     sol = solve_transition(model_consensus(t, p), k, OptimizerConfig(), seed=0)
@@ -212,50 +193,42 @@ def test_oracle_round_trip_property(k, seed):
     assert sol.converged
 
 
-def _sampled_stats(t, p, n, seed):
-    """Counted statistics of n triplets drawn i.i.d. from the consensus model."""
-    rng = np.random.default_rng(seed)
-    clean = rng.choice(t.k, size=n, p=p)
-    cum = np.cumsum(t.t, axis=1)
-    labels = (rng.random((n, 3))[..., None] > cum[clean][:, None, :]).sum(axis=2)
-    return count_consensus(_triplets(np.minimum(labels, t.k - 1)), t.k)
-
-
 def test_converged_false_at_max_iters():
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
     stats = _sampled_stats(t, np.full(10, 0.1), 20_000, seed=1)
     capped = solve_transition(stats, 10, OptimizerConfig(max_iters=5), seed=0)
     assert not capped.converged
-    assert capped.iterations_used == 10  # both polishes, capped at 5 each
+    assert capped.iterations_used == 10  # both starts, capped at 5 EM iterations each
     assert solve_transition(stats, 10, OptimizerConfig(), seed=0).converged
 
 
-def test_polish_stops_when_no_gain_is_predicted():
-    # with a stop gain below any representable gain, only the predicted-gain
-    # rule ends a polish that already sits at its minimum
+def test_em_stops_at_first_small_gain():
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
     stats = _sampled_stats(t, np.full(10, 0.1), 20_000, seed=1)
-    theta_t, theta_p, loss, _, _ = _descend(2.0 * np.eye(10), np.zeros(10), stats,
-                                            OptimizerConfig())
-    _, _, tight_loss, _, converged = _descend(
-        theta_t, theta_p, stats, OptimizerConfig(max_iters=500, tolerance=1e-300))
-    assert converged
-    assert tight_loss <= loss
+    start = (t.t, np.full(10, 0.1))
+    *_, iters, converged = _em(*start, stats, OptimizerConfig())
+    assert converged and iters > 2
+    losses = [_em(*start, stats, OptimizerConfig(max_iters=m))[2]
+              for m in (iters - 2, iters - 1, iters)]
+    # the last iteration gains at most tolerance / n; the one before gains more
+    stop = _stop_gain(stats, OptimizerConfig())
+    assert stop == 1e-6 / 20_000
+    assert losses[1] - losses[2] <= stop < losses[0] - losses[1]
 
 
-def _count_polishes(monkeypatch):
+def _count_runs(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append((args, _descend(*args)))
+        calls.append((args, _em(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(tmest.hoc, "_descend", counted)
+    monkeypatch.setattr(tmest.hoc, "_em", counted)
     return calls
 
 
 def test_oracle_skips_near_identity_polish(monkeypatch):
-    calls = _count_polishes(monkeypatch)
+    calls = _count_runs(monkeypatch)
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=0), 20)
     p = np.random.default_rng(0).dirichlet(np.ones(20))
     sol = solve_transition(model_consensus(t, p), 20, OptimizerConfig(), seed=0)
@@ -264,24 +237,42 @@ def test_oracle_skips_near_identity_polish(monkeypatch):
 
 
 def test_counted_statistics_run_both_polishes(monkeypatch):
-    calls = _count_polishes(monkeypatch)
+    calls = _count_runs(monkeypatch)
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
     stats = _sampled_stats(t, np.full(10, 0.1), 10_000, seed=3)
     sol = solve_transition(stats, 10, OptimizerConfig(), seed=0)
     assert len(calls) == 2
-    # the spectral start goes first, the near-identity start second
-    np.testing.assert_array_equal(calls[1][0][0], 2.0 * np.eye(10))
-    assert sol.iterations_used == sum(polish[3] for _, polish in calls)
+    # the spectral start goes first, the near-identity start (softmax(2I), uniform p) second
+    near_identity = np.exp(2.0 * np.eye(10))
+    np.testing.assert_allclose(calls[1][0][0], near_identity / near_identity.sum(axis=1)[:, None],
+                               rtol=1e-15)
+    np.testing.assert_array_equal(calls[1][0][1], np.full(10, 0.1))
+    assert sol.iterations_used == sum(run[3] for _, run in calls)
     assert sol.converged
+
+
+def test_near_identity_start_wins_on_counted_statistics(monkeypatch):
+    # EM from the spectral start stops in a worse local optimum here; the
+    # near-identity start finds a higher likelihood and a better estimate
+    calls = _count_runs(monkeypatch)
+    t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=3), 3)
+    stats = _sampled_stats(t, np.full(3, 1 / 3), 2000, seed=5)
+    sol = solve_transition(stats, 3, OptimizerConfig(), seed=0)
+    assert len(calls) == 2
+    (_, spectral), (_, near_identity) = calls
+    assert near_identity[2] < spectral[2] - 1e-4
+    assert sol.final_loss == near_identity[2]
+    spectral_t = _maximize_trace(spectral[0], spectral[1])[0]
+    assert estimation_error(t, sol.t) < estimation_error(t, TransitionMatrix(3, spectral_t)) - 0.01
 
 
 def test_spectral_start_exact_and_dropped_when_rank_deficient():
     t = tm.validate_transition([[0.8, 0.1, 0.1], [0.05, 0.85, 0.1], [0.15, 0.05, 0.8]])
     p = np.array([0.2, 0.5, 0.3])
-    theta_t, theta_p = _spectral_start(model_consensus(t, p), stage_rng(0, "optimizer"))
-    order = np.argmax(_softmax(theta_t), axis=1)
-    np.testing.assert_allclose(_softmax(theta_t)[np.argsort(order)], t.t, atol=1e-12)
-    np.testing.assert_allclose(_softmax(theta_p)[np.argsort(order)], p, atol=1e-12)
+    t0, p0 = _spectral_start(model_consensus(t, p), stage_rng(0, "optimizer"))
+    order = np.argmax(t0, axis=1)
+    np.testing.assert_allclose(t0[np.argsort(order)], t.t, atol=1e-12)
+    np.testing.assert_allclose(p0[np.argsort(order)], p, atol=1e-12)
     # two identical rows: sym(c2) has rank 2, so (T, p) is not identified
     same = tm.validate_transition([[0.8, 0.2, 0.0], [0.8, 0.2, 0.0], [0.1, 0.1, 0.8]])
     assert _spectral_start(model_consensus(same, p), stage_rng(0, "optimizer")) is None

@@ -1,7 +1,7 @@
 """Shared data model: datasets, transition matrices, configuration, reports.
 
-All container types are frozen after construction (numpy buffers are made
-read-only) so they can be shared across workers without copying.
+All container types make their numpy buffers read-only after validation, so
+no later in-place write can break an invariant `__post_init__` has checked.
 """
 
 import csv
@@ -156,7 +156,10 @@ def load_dataset(path, schema=None, k=None):
     if k is None:
         k = int(noisy.max()) + 1 if clean is None else int(max(noisy.max(), clean.max())) + 1
         k = max(k, 2)
-    return Dataset(table["features"], noisy, k, clean_labels=clean, ids=ids)
+    try:
+        return Dataset(table["features"], noisy, k, clean_labels=clean, ids=ids)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def save_dataset(data, path):
@@ -282,7 +285,6 @@ class EstimatorConfig:
     activation: str = "minmax"
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     seed: int = 0
-    eigen_floor: float = 1e-10
 
     def __post_init__(self):
         if self.variant not in VARIANTS:

@@ -1,12 +1,10 @@
 """Consensus statistics over 2-NN label triplets and the matching solver.
 
 Under 2-NN label clusterability the three noisy labels of a triplet are
-independent draws through T from a single clean label, so the first, second
-and third order pattern frequencies are polynomial in (T, p):
-
-    c1 = p' T,   c2 = T' diag(p) T,   c3 = T' diag(p) TT  (as K x K x K),
-
-where row i of TT (K x K^2) is t_i (x) t_i.
+independent draws through T from a single clean label, so the frequency c3
+of each ordered label triple, and its marginals c1 and c2, are polynomial in
+(T, p):  c1 = p' T,  c2 = T' diag(p) T,  c3 = T' diag(p) TT  (as K x K x K),
+where row i of TT (K x K^2) is t_i (x) t_i.  Only c3 is stored.
 `_moments` is the one implementation of this model.  The triplets thus follow
 a tied Dawid-Skene model, and the solver maximizes their likelihood
 sum c3 log m3 by EM from the closed-form spectral solution of the moments and
@@ -30,61 +28,61 @@ _START_FLOOR = 1e-12
 
 @dataclass
 class ConsensusStatistics:
-    """Empirical frequencies of label patterns: single, ordered pair, ordered triple."""
+    """Ordered label-triple frequencies c3 of n counted triplets (n == 0: exact)."""
 
-    c1: np.ndarray
-    c2: np.ndarray
     c3: np.ndarray
     n: int
 
     def __post_init__(self):
-        self.c1 = _freeze(np.asarray(self.c1, dtype=np.float64))
-        self.c2 = _freeze(np.asarray(self.c2, dtype=np.float64))
         self.c3 = _freeze(np.asarray(self.c3, dtype=np.float64))
-        k = self.c1.shape[0]
-        if self.c2.shape != (k, k) or self.c3.shape != (k, k, k):
-            raise DataError("consensus tensor shapes are inconsistent")
-        for t in (self.c1, self.c2, self.c3):
-            if np.any(t < 0) or abs(t.sum() - 1.0) > _NORM_ATOL:
-                raise DataError("consensus tensors must be probability-normalized")
+        if self.c3.ndim != 3 or self.c3.shape != self.c3.shape[:1] * 3:
+            raise DataError(f"c3 must be a K x K x K tensor, got shape {self.c3.shape}")
+        # phrased so that NaN and inf entries fail: comparisons with NaN are False
+        if not (np.all(self.c3 >= 0) and abs(self.c3.sum() - 1.0) <= _NORM_ATOL):
+            raise DataError("c3 must be finite, nonnegative and sum to 1")
 
     @property
     def k(self):
-        return self.c1.shape[0]
+        return self.c3.shape[0]
+
+    # single-label and ordered-pair frequencies: marginals of c3, never stored
+    @property
+    def c1(self):
+        return self.c3.sum(axis=(1, 2))
+
+    @property
+    def c2(self):
+        return self.c3.sum(axis=2)
 
 
 def count_consensus(triplets, k):
-    """Empirical pattern frequencies of the (y_n, y_n1, y_n2) triplets."""
+    """Empirical frequencies of the (y_n, y_n1, y_n2) triplets."""
     y = triplets.labels
     n = y.shape[0]
+    if n == 0:
+        raise DataError("no triplets to count")
     if np.any(y < 0) or np.any(y >= k):
         raise DataError("triplet label out of range")
-    c1 = np.bincount(y[:, 0], minlength=k) / n
-    c2 = np.bincount(y[:, 0] * k + y[:, 1], minlength=k * k).reshape(k, k) / n
-    c3 = np.bincount((y[:, 0] * k + y[:, 1]) * k + y[:, 2],
-                     minlength=k ** 3).reshape(k, k, k) / n
-    return ConsensusStatistics(c1, c2, c3, n)
+    cells = (y[:, 0] * k + y[:, 1]) * k + y[:, 2]
+    return ConsensusStatistics(np.bincount(cells, minlength=k ** 3).reshape(k, k, k) / n, n)
 
 
 def _moments(t, p):
-    """Model moments (c1, c2, c3) of (T, p), and TT whose row i is t_i (x) t_i."""
+    """Model c3 of (T, p) as a K x K x K tensor, and TT whose row i is t_i (x) t_i."""
     k = t.shape[0]
-    pt = p[:, None] * t
     tt = (t[:, :, None] * t[:, None, :]).reshape(k, k * k)
-    return p @ t, pt.T @ t, (pt.T @ tt).reshape(k, k, k), tt
+    return ((p[:, None] * t).T @ tt).reshape(k, k, k), tt
 
 
 def model_consensus(t, p=None):
     """Exact pattern probabilities implied by (T, p) under clusterability."""
     p = np.asarray(t.p if p is None else p, dtype=np.float64)
-    c1, c2, c3, _ = _moments(t.t, p)
-    return ConsensusStatistics(c1, c2, c3, n=0)
+    return ConsensusStatistics(_moments(t.t, p)[0], n=0)
 
 
 @dataclass
 class HocSolution:
-    t: TransitionMatrix
-    p: np.ndarray
+    t: TransitionMatrix  # with the prior p set
     final_loss: float
     iterations_used: int
     converged: bool
@@ -111,7 +109,7 @@ def _em(t, p, stats, cfg):
     c = stats.c3.ravel()[seen]
 
     def fit(t, p):
-        _, _, m3, tt = _moments(t, p)
+        m3, tt = _moments(t, p)
         ratio = c / m3.ravel()[seen]
         # the KL is >= 0; rounding can put an exact fit an ulp or so below
         return max(float(c @ np.log(ratio)), 0.0), ratio, tt
@@ -195,4 +193,4 @@ def solve_transition(stats, k, config, seed=0):
 
     t, p, loss, _, conv = best
     t, p = _maximize_trace(t, p)
-    return HocSolution(TransitionMatrix(k, t, p=p), p, loss, iters, conv)
+    return HocSolution(TransitionMatrix(k, t, p=p), loss, iters, conv)

@@ -63,8 +63,6 @@ class MIEstimate:
     """Per-dimension f-MI values for one dataset."""
 
     per_dim: np.ndarray
-    kind: FDivergenceKind
-    bins: int
 
     def __post_init__(self):
         self.per_dim = _freeze(np.asarray(self.per_dim, dtype=np.float64))
@@ -78,7 +76,7 @@ def estimate_fmi_per_dim(features, labels, kind=FDivergenceKind.TV, bins=15):
     """f-MI of every feature column against the labels."""
     vals = [estimate_fmi(features[:, j], labels, kind, bins)
             for j in range(features.shape[1])]
-    return MIEstimate(np.array(vals), kind, bins)
+    return MIEstimate(np.array(vals))
 
 
 @dataclass
@@ -86,7 +84,6 @@ class WeightVector:
     """Per-dimension similarity weights in (0, 1], max entry exactly 1."""
 
     w: np.ndarray
-    activation: str = "minmax"
 
     def __post_init__(self):
         self.w = _freeze(np.asarray(self.w, dtype=np.float64))
@@ -112,7 +109,7 @@ def build_weights(mi, activation="minmax"):
     else:
         w = np.maximum(WEIGHT_FLOOR, (vals - lo) / (hi - lo))
         w = w / w.max()
-    return WeightVector(w, activation)
+    return WeightVector(w)
 
 
 def _h2(e):

@@ -24,7 +24,7 @@ def estimate(data, config, true_t=None):
 
     t0 = time.perf_counter()
     if whiten:
-        transform = fit_whitening(data, config.eigen_floor)
+        transform = fit_whitening(data)
         work = apply_whitening(transform, data)
     timings["whitening"] = time.perf_counter() - t0
 

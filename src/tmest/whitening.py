@@ -11,6 +11,8 @@ import numpy as np
 
 from .core import DataError, _freeze
 
+EIGEN_FLOOR = 1e-10
+
 
 @dataclass
 class WhiteningTransform:
@@ -56,10 +58,10 @@ class WhiteningTransform:
         return (x - self.mean) @ self.eigenvectors / np.sqrt(self.eigenvalues)
 
 
-def fit_whitening(data, eigen_floor=1e-10):
+def fit_whitening(data):
     """Eigendecompose the covariance of the dataset's (centered) features.
 
-    Directions whose eigenvalue falls below eigen_floor * lambda_max are
+    Directions whose eigenvalue falls below EIGEN_FLOOR * lambda_max are
     dropped; they carry no variance worth keeping and would blow up the
     1/sqrt(lambda) rescaling.
     """
@@ -74,7 +76,7 @@ def fit_whitening(data, eigen_floor=1e-10):
     evals, evecs = evals[order], evecs[:, order]
     if evals[0] <= 0:
         raise DataError("all feature directions have zero variance")
-    keep = evals > eigen_floor * evals[0]
+    keep = evals > EIGEN_FLOOR * evals[0]
     evals, evecs = evals[keep], evecs[:, keep]
     # fix eigenvector signs for reproducibility: largest-|.| component positive
     flip = evecs[np.argmax(np.abs(evecs), axis=0), np.arange(evecs.shape[1])] < 0

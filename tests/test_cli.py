@@ -202,6 +202,18 @@ def test_non_utf8_input_is_reported(tmp_path, capsys):
     assert err.startswith(f"tmest estimate: error: {bad}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("text,args,message", [
+    ("f0,noisy_label\n0.1,0\nnan,1\n0.3,0\n", [], "non-finite feature"),
+    ("f0,noisy_label\n0.1,0\n0.2,7\n0.3,1\n", ["--k", "2"],
+     "noisy label out of range [0, 2)"),
+], ids=["nan-feature", "label-out-of-range"])
+def test_dataset_contract_errors_name_the_file(tmp_path, capsys, text, args, message):
+    bad = tmp_path / "contract.csv"
+    bad.write_text(text)
+    err = _error_of(capsys, ["estimate", "--input", str(bad), *args])
+    assert err.startswith(f"tmest estimate: error: {bad}: {message}")
+
+
 def test_eval_rejects_matrix_json_without_keys(noisy_csv, tmp_path, capsys):
     est_path = tmp_path / "est.json"
     est_path.write_text(json.dumps({"t": [[0.5, 0.5], [0.5, 0.5]]}))

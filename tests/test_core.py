@@ -244,14 +244,13 @@ def test_report_json_has_every_field(tmp_path):
     assert list(obj) == [f.name for f in fields(Report)]
     assert obj == {
         "estimated_t": {"k": 2, "t": [[0.7, 0.3], [0.3, 0.7]], "p": [0.4, 0.6]},
-        "consensus": {"c1": stats.c1.tolist(), "c2": stats.c2.tolist(),
-                      "c3": stats.c3.tolist(), "n": 0},
-        "weights": {"w": [1.0, 0.5], "activation": "minmax"},
+        "consensus": {"c3": stats.c3.tolist(), "n": 0},
+        "weights": {"w": [1.0, 0.5]},
         "error": 0.01,
         "converged": True,
         "config_echo": {"variant": "plain-hoc", "bins": 15, "activation": "minmax",
                         "optimizer": {"max_iters": 3000, "tolerance": 1e-6},
-                        "seed": 0, "eigen_floor": 1e-10},
+                        "seed": 0},
         "timings": {"solve": 0.1},
         "excluded_rows": 2,
     }

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,12 +105,56 @@ def test_model_consensus_matches_definition():
 
 
 def test_consensus_statistics_invariants():
-    with pytest.raises(DataError):
-        ConsensusStatistics(np.array([0.6, 0.3]), np.full((2, 2), 0.25),
-                            np.full((2, 2, 2), 0.125), 10)
-    with pytest.raises(DataError):
-        ConsensusStatistics(np.array([0.5, 0.5]), np.full((2, 3), 1 / 6),
-                            np.full((2, 2, 2), 0.125), 10)
+    negative = np.full((2, 2, 2), 0.125)
+    negative[0, 0, 0], negative[1, 1, 1] = 0.375, -0.125  # still sums to 1
+    nan_entry = np.full((2, 2, 2), 0.125)
+    nan_entry[0, 1, 0] = np.nan
+    for c3, message in [
+        (np.full((2, 2, 3), 1 / 12), "K x K x K"),
+        (np.full((2, 2), 0.25), "K x K x K"),
+        (np.array(1.0), "K x K x K"),
+        (negative, "nonnegative"),
+        (np.full((2, 2, 2), 0.1), "sum to 1"),
+        (np.full((2, 2, 2), np.nan), "finite"),
+        (nan_entry, "finite"),
+        (np.full((2, 2, 2), np.inf), "finite"),
+    ]:
+        with pytest.raises(DataError, match=message):
+            ConsensusStatistics(c3, 10)
+    stats = ConsensusStatistics(np.full((2, 2, 2), 0.125), 10)
+    assert stats.k == 2 and stats.n == 10
+    np.testing.assert_array_equal(stats.c1, [0.5, 0.5])
+    np.testing.assert_array_equal(stats.c2, np.full((2, 2), 0.25))
+    # c1 and c2 are read-only views of c3, not stored fields
+    assert [f.name for f in fields(ConsensusStatistics)] == ["c3", "n"]
+    with pytest.raises(AttributeError):
+        stats.c1 = np.array([1.0, 0.0])
+
+
+def test_count_consensus_rejects_zero_triplets():
+    empty = NeighborTriplets(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
+    with pytest.raises(DataError, match="no triplets"):
+        count_consensus(empty, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from([2, 3, 10]), data=st.data())
+def test_count_consensus_matches_reference(k, data):
+    # labels may cover only part of [0, K); unseen labels get zero frequency
+    used = data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    n = data.draw(st.integers(3, 60))
+    labels = np.array(data.draw(st.lists(st.lists(st.sampled_from(used), min_size=3,
+                                                  max_size=3), min_size=n, max_size=n)))
+    ref = np.zeros((k, k, k))
+    np.add.at(ref, (labels[:, 0], labels[:, 1], labels[:, 2]), 1)
+    singles, pairs = np.zeros(k), np.zeros((k, k))
+    np.add.at(singles, labels[:, 0], 1)
+    np.add.at(pairs, (labels[:, 0], labels[:, 1]), 1)
+    stats = count_consensus(_triplets(labels), k)
+    assert stats.n == n and stats.k == k
+    np.testing.assert_array_equal(stats.c3 * n, ref)
+    np.testing.assert_allclose(stats.c1, singles / n, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(stats.c2, pairs / n, rtol=0, atol=1e-15)
 
 
 def _kl(stats, t, p):
@@ -125,7 +171,7 @@ def test_loss_zero_at_truth():
     assert abs(solve_transition(model_consensus(t, p), 2, OptimizerConfig()).final_loss) <= 1e-15
     stats = _sampled_stats(t, p, 2000, seed=0)
     sol = solve_transition(stats, 2, OptimizerConfig())
-    assert sol.final_loss == pytest.approx(_kl(stats, sol.t.t, sol.p), rel=1e-9)
+    assert sol.final_loss == pytest.approx(_kl(stats, sol.t.t, sol.t.p), rel=1e-9)
     assert 0 < sol.final_loss < _kl(stats, t.t, p)
 
 
@@ -162,7 +208,7 @@ def test_exact_counts_recover_truth(t_true, p_true):
     sol = solve_transition(stats, t.k, OptimizerConfig(), seed=0)
     assert sol.converged
     assert np.max(np.abs(sol.t.t - t.t)) < 1e-4
-    assert np.max(np.abs(sol.p - np.asarray(p_true))) < 1e-4
+    assert np.max(np.abs(sol.t.p - np.asarray(p_true))) < 1e-4
     # the KL divergence from exact statistics is 0 at the truth
     assert abs(sol.final_loss) <= 1e-12
 
@@ -189,7 +235,7 @@ def test_oracle_round_trip_property(k, seed):
     p = rng.dirichlet(np.ones(k))
     sol = solve_transition(model_consensus(t, p), k, OptimizerConfig(), seed=seed)
     assert estimation_error(t, sol.t) <= 1e-8
-    np.testing.assert_allclose(sol.p, p, atol=1e-8)
+    np.testing.assert_allclose(sol.t.p, p, atol=1e-8)
     assert sol.converged
 
 
@@ -284,7 +330,7 @@ def test_solver_deterministic():
     a = solve_transition(stats, 2, OptimizerConfig(), seed=11)
     b = solve_transition(stats, 2, OptimizerConfig(), seed=11)
     np.testing.assert_array_equal(a.t.t, b.t.t)
-    np.testing.assert_array_equal(a.p, b.p)
+    np.testing.assert_array_equal(a.t.p, b.t.p)
     assert a.final_loss == b.final_loss
 
 
@@ -294,8 +340,8 @@ def test_solver_rows_sum_to_one():
     stats = count_consensus(_triplets(labels), 3)
     sol = solve_transition(stats, 3, OptimizerConfig(), seed=3)
     np.testing.assert_allclose(sol.t.t.sum(axis=1), np.ones(3), atol=1e-9)
-    assert sol.p.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(sol.t.t >= 0) and np.all(sol.p >= 0)
+    assert sol.t.p.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(sol.t.t >= 0) and np.all(sol.t.p >= 0)
 
 
 def test_maximize_trace_exhaustive():
@@ -318,6 +364,10 @@ def test_solution_fields():
     sol = solve_transition(model_consensus(t, [0.5, 0.5]), 2, OptimizerConfig())
     assert isinstance(sol, HocSolution)
     assert isinstance(sol.t, TransitionMatrix)
+    # the prior lives on the matrix alone
+    assert [f.name for f in fields(HocSolution)] == [
+        "t", "final_loss", "iterations_used", "converged"]
+    np.testing.assert_allclose(sol.t.p, [0.5, 0.5], atol=1e-12)
     assert sol.iterations_used >= 1
     assert sol.final_loss >= 0.0
 

@@ -101,18 +101,18 @@ def test_per_dim_ordering():
 
 
 def test_build_weights_minmax_hand_case():
-    mi = MIEstimate(np.array([1.0, 0.25, 0.0]), FDivergenceKind.KL, 15)
+    mi = MIEstimate(np.array([1.0, 0.25, 0.0]))
     w = build_weights(mi, "minmax")
     np.testing.assert_allclose(w.w, [1.0, 0.25, 1e-3])
 
 
 def test_build_weights_uniform_mi():
-    mi = MIEstimate(np.array([0.3, 0.3, 0.3]), FDivergenceKind.TV, 15)
+    mi = MIEstimate(np.array([0.3, 0.3, 0.3]))
     np.testing.assert_array_equal(build_weights(mi).w, [1.0, 1.0, 1.0])
 
 
 def test_build_weights_log_minmax_preserves_order():
-    mi = MIEstimate(np.array([0.5, 0.05, 0.005, 0.0]), FDivergenceKind.KL, 15)
+    mi = MIEstimate(np.array([0.5, 0.05, 0.005, 0.0]))
     w = build_weights(mi, "log-minmax").w
     assert w[0] == 1.0
     assert np.all(np.diff(w) < 0) or w[-2] == w[-1]  # floored tail may tie
@@ -120,7 +120,7 @@ def test_build_weights_log_minmax_preserves_order():
 
 
 def test_build_weights_unknown_activation():
-    mi = MIEstimate(np.array([1.0, 0.5]), FDivergenceKind.KL, 15)
+    mi = MIEstimate(np.array([1.0, 0.5]))
     with pytest.raises(DataError):
         build_weights(mi, "softmax")
 

@@ -7,9 +7,9 @@ from .core import (Dataset, EstimatorConfig, NoiseRatePair, OptimizerConfig,
 from .evaluation import DownstreamResult, estimation_error, train_linear
 from .hoc import (ConsensusStatistics, HocSolution, count_consensus,
                   model_consensus, solve_transition)
-from .infotheory import (FDivergenceKind, MIEstimate, WeightVector,
-                         build_weights, estimate_fmi, estimate_fmi_per_dim,
-                         kl_noise_bias, kl_order_gap, practical_gap)
+from .infotheory import (FDivergenceKind, MIEstimate, build_weights,
+                         estimate_fmi, estimate_fmi_per_dim, kl_noise_bias,
+                         kl_order_gap, practical_gap)
 from .noise import (NoiseScheme, avg_noise_rate_from_r, build_transition,
                     inject_noise)
 from .pipeline import estimate

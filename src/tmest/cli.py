@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from .core import (ACTIVATIONS, VARIANTS, DataError, EstimatorConfig,
                    NoiseRatePair, OptimizerConfig, TransitionMatrix, dump_json,
-                   load_dataset, load_json, save_dataset, save_json)
+                   load_dataset, save_dataset, save_json)
 from .evaluation import estimation_error, train_linear
 from .infotheory import (FDivergenceKind, build_weights, estimate_fmi_per_dim,
                          kl_order_gap, practical_gap)
@@ -82,10 +82,7 @@ def _cmd_inject_noise(args):
 
 
 def _cmd_eval(args):
-    obj = load_json(args.estimated)
-    if isinstance(obj, dict) and "estimated_t" in obj:  # a report file
-        obj = obj["estimated_t"]
-    est = TransitionMatrix.from_json_file(obj, args.estimated)
+    est = TransitionMatrix.load(args.estimated)
     true_t = TransitionMatrix.load(args.true)
     print(estimation_error(true_t, est))
     return 0

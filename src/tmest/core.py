@@ -53,6 +53,17 @@ def _freeze(a):
     return a
 
 
+def _int_labels(labels, name):
+    """Labels as a frozen int64 array; a label that is not a whole number is
+    an error, never truncated."""
+    labels = np.asarray(labels)
+    whole = labels.dtype.kind in "biu" or (labels.dtype.kind == "f" and np.all(
+        np.isfinite(labels) & (labels == np.trunc(labels))))
+    if not whole:
+        raise DataError(f"{name} labels must be integers")
+    return _freeze(labels.astype(np.int64))
+
+
 @dataclass
 class Dataset:
     """N feature vectors with noisy labels, optionally paired with clean labels.
@@ -69,9 +80,9 @@ class Dataset:
 
     def __post_init__(self):
         self.features = _freeze(np.asarray(self.features, dtype=np.float64))
-        self.noisy_labels = _freeze(np.asarray(self.noisy_labels, dtype=np.int64))
+        self.noisy_labels = _int_labels(self.noisy_labels, "noisy")
         if self.clean_labels is not None:
-            self.clean_labels = _freeze(np.asarray(self.clean_labels, dtype=np.int64))
+            self.clean_labels = _int_labels(self.clean_labels, "clean")
         if self.features.ndim != 2 or self.features.shape[1] < 1:
             raise DataError("features must be a 2-d matrix with d >= 1")
         if not np.all(np.isfinite(self.features)):
@@ -224,11 +235,11 @@ class TransitionMatrix:
 
     @classmethod
     def load(cls, path):
-        return cls.from_json_file(load_json(path), path)
-
-    @classmethod
-    def from_json_file(cls, obj, path):
-        """`from_json` of an object read from `path`; errors name the file."""
+        """Read a matrix file, or the `estimated_t` of a report file; errors
+        name the file."""
+        obj = load_json(path)
+        if isinstance(obj, dict) and "estimated_t" in obj:  # a report file
+            obj = obj["estimated_t"]
         try:
             return cls.from_json(obj)
         except DataError as exc:
@@ -250,12 +261,13 @@ def validate_transition(t, p=None):
 
 @dataclass
 class NoiseRatePair:
-    """Binary noise rates e1 = P(noisy=2|clean=1), e2 = P(noisy=1|clean=2)."""
+    """Binary noise rates e1 = P(noisy=2|clean=1), e2 = P(noisy=1|clean=2),
+    estimable only when both are nonnegative and e1 + e2 < 1."""
 
     e1: float
     e2: float
 
-    def require_estimable(self):
+    def __post_init__(self):
         if self.e1 < 0 or self.e2 < 0:
             raise DataError("noise rates must be nonnegative")
         if self.e1 + self.e2 >= 1:
@@ -292,8 +304,8 @@ class EstimatorConfig:
                             f"(choose from {', '.join(VARIANTS)})")
         if self.activation not in ACTIVATIONS:
             raise DataError(f"unknown activation '{self.activation}'")
-        if self.bins < 2:
-            raise DataError("bins must be >= 2")
+        if not isinstance(self.bins, (int, np.integer)) or self.bins < 2:
+            raise DataError(f"bins must be an integer >= 2, got {self.bins!r}")
 
 
 # Stage names used to derive independent, reproducible RNG streams from the
@@ -315,7 +327,7 @@ class Report:
 
     estimated_t: TransitionMatrix
     consensus: object  # hoc.ConsensusStatistics
-    weights: object | None = None  # infotheory.WeightVector
+    weights: object | None = None  # similarity.SimilarityWeights, diagonal
     error: float | None = None
     converged: bool = True
     config_echo: dict = field(default_factory=dict)

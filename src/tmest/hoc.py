@@ -34,6 +34,8 @@ class ConsensusStatistics:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+            raise DataError(f"n must be an integer >= 0, got {self.n!r}")
         self.c3 = _freeze(np.asarray(self.c3, dtype=np.float64))
         if self.c3.ndim != 3 or self.c3.shape != self.c3.shape[:1] * 3:
             raise DataError(f"c3 must be a K x K x K tensor, got shape {self.c3.shape}")

@@ -1,5 +1,5 @@
 """f-mutual information between scalar features and labels, the diagonal
-weight construction, and the KL order-preservation bounds.
+soft-cosine weights built from it, and the KL order-preservation bounds.
 
 MI is computed with a plug-in histogram estimator: the feature column is
 discretized into equal-frequency bins and the discrete f-divergence between
@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .core import DataError, _freeze
+from .similarity import SimilarityWeights
 
 WEIGHT_FLOOR = 1e-3   # smallest allowed weight after min-max normalization
 LOG_MI_FLOOR = 1e-6   # floor before taking log2 of an MI value
@@ -79,24 +80,14 @@ def estimate_fmi_per_dim(features, labels, kind=FDivergenceKind.TV, bins=15):
     return MIEstimate(np.array(vals))
 
 
-@dataclass
-class WeightVector:
-    """Per-dimension similarity weights in (0, 1], max entry exactly 1."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w = _freeze(np.asarray(self.w, dtype=np.float64))
-        if self.w.min() <= 0 or abs(self.w.max() - 1.0) > 1e-12:
-            raise DataError("weights must lie in (0, 1] with max exactly 1")
-
-
 def build_weights(mi, activation="minmax"):
-    """Turn per-dimension MI into weights via an order-preserving activation.
+    """Diagonal soft-cosine weights from per-dimension MI, via an
+    order-preserving activation.
 
     minmax rescales MI to (0, 1] with a small positive floor; log-minmax
     takes log2 first (floored at LOG_MI_FLOOR), which spreads out small MI
-    values.  Uniform MI yields uniform weights.
+    values.  Every weight lies in (0, 1] and the largest is exactly 1;
+    uniform MI yields uniform weights.
     """
     vals = mi.per_dim
     if activation == "log-minmax":
@@ -109,7 +100,7 @@ def build_weights(mi, activation="minmax"):
     else:
         w = np.maximum(WEIGHT_FLOOR, (vals - lo) / (hi - lo))
         w = w / w.max()
-    return WeightVector(w)
+    return SimilarityWeights.diagonal(w)
 
 
 def _h2(e):
@@ -130,7 +121,6 @@ def kl_order_gap(rates):
     e * [delta*log2(delta) - (1+delta)*log2(1+delta)] + H2(e); it is 0 at
     zero noise and reduces to H2(e) - 2e for symmetric noise.
     """
-    rates.require_estimable()
     e = max(rates.e1, rates.e2)
     if e == 0:
         return 0.0
@@ -144,7 +134,6 @@ def kl_noise_bias(beta, rates):
     beta in [0, 1) is the clean class-1 posterior mass at a feature value;
     the bias vanishes for all beta when there is no noise.
     """
-    rates.require_estimable()
     if not 0.0 <= beta < 1.0:
         raise DataError(f"beta must lie in [0, 1), got {beta}")
     e1, e2 = rates.e1, rates.e2

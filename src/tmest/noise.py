@@ -75,8 +75,10 @@ def build_transition(scheme, k):
 def inject_noise(data, t, seed=0):
     """Resample noisy labels from T conditioned on the clean labels.
 
-    Deterministic given the seed; clean labels are retained on the returned
-    dataset.
+    Each row draws u ~ U[0, 1); its noisy label is the count of entries <= u
+    in the cumulative sum of its clean label's row of T, capped at K - 1 in
+    case rounding leaves the last entry below 1.  Deterministic given the
+    seed; clean labels are retained on the returned dataset.
     """
     if data.clean_labels is None:
         raise DataError("noise injection requires clean labels")
@@ -85,9 +87,5 @@ def inject_noise(data, t, seed=0):
     rng = stage_rng(seed, "noise")
     cum = np.cumsum(t.t, axis=1)
     u = rng.random(data.n)
-    noisy = np.empty(data.n, dtype=np.int64)
-    for i in range(data.k):
-        mask = data.clean_labels == i
-        noisy[mask] = np.searchsorted(cum[i], u[mask], side="right")
-    noisy = np.minimum(noisy, data.k - 1)  # guard against cumsum rounding
+    noisy = np.minimum((cum[data.clean_labels] <= u[:, None]).sum(axis=1), data.k - 1)
     return replace(data, noisy_labels=noisy)

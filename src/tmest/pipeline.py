@@ -3,6 +3,8 @@ noisy labels, soft-cosine 2-NN, consensus counting, and the matching solver.
 
 Variants: plain-hoc (identity weights, raw features), x-kl / x-tv (weights on
 raw features), a-kl / a-tv (whiten first, weights on the whitened axes).
+`estimate` calls each stage through this module's globals, so a stage can be
+replaced here (for example by a tracing wrapper) without touching its module.
 """
 
 import time
@@ -17,49 +19,39 @@ from .whitening import fit_whitening, apply_whitening
 
 
 def estimate(data, config, true_t=None):
-    """Run the full pipeline on a noisy dataset and assemble a Report."""
+    """Run the full pipeline on a noisy dataset and assemble a Report.
+
+    `timings` holds the seconds of each stage: whitening, weights,
+    neighbors, count and solve.
+    """
     whiten, divergence = VARIANTS[config.variant]
-    timings = {}
-    work = data
+    timings, clock = {}, [time.perf_counter()]
 
-    t0 = time.perf_counter()
+    def lap(stage):  # seconds since the previous lap
+        clock.append(time.perf_counter())
+        timings[stage] = clock[-1] - clock[-2]
+
+    work, weights = data, None
     if whiten:
-        transform = fit_whitening(data)
-        work = apply_whitening(transform, data)
-    timings["whitening"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    weights_vec = None
-    if divergence is None:
-        sim_weights = SimilarityWeights.identity()
-    else:
+        work = apply_whitening(fit_whitening(data), data)
+    lap("whitening")
+    if divergence is not None:
         mi = estimate_fmi_per_dim(work.features, work.noisy_labels,
                                   FDivergenceKind(divergence), config.bins)
-        weights_vec = build_weights(mi, config.activation)
-        sim_weights = SimilarityWeights.diagonal(weights_vec.w)
-    timings["weights"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    triplets = get_2nn_triplets(work, sim_weights)
-    timings["neighbors"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+        weights = build_weights(mi, config.activation)
+    lap("weights")
+    triplets = get_2nn_triplets(work, weights or SimilarityWeights.identity())
+    lap("neighbors")
     stats = count_consensus(triplets, data.k)
-    timings["count"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
+    lap("count")
     solution = solve_transition(stats, data.k, config.optimizer, seed=config.seed)
-    timings["solve"] = time.perf_counter() - t0
-
-    error = None
-    if true_t is not None:
-        error = estimation_error(true_t, solution.t)
+    lap("solve")
 
     return Report(
         estimated_t=solution.t,
         consensus=stats,
-        weights=weights_vec,
-        error=error,
+        weights=weights,
+        error=None if true_t is None else estimation_error(true_t, solution.t),
         converged=solution.converged,
         config_echo=asdict(config),
         timings=timings,

@@ -22,42 +22,46 @@ _CHUNK = 512
 
 @dataclass
 class SimilarityWeights:
-    """Identity, per-dimension diagonal, or full symmetric PSD weighting."""
+    """Soft-cosine weight W, whose form follows `w`: None is the identity, a
+    nonnegative vector a diagonal, a symmetric PSD square matrix full."""
 
-    form: str                      # "identity" | "diagonal" | "full"
-    w: np.ndarray | None = None    # vector (diagonal) or matrix (full)
+    w: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.form == "identity":
-            if self.w is not None:
-                raise DataError("identity weights take no matrix")
+        if self.w is None:
             return
         self.w = _freeze(np.asarray(self.w, dtype=np.float64))
-        if self.form == "diagonal":
-            if self.w.ndim != 1 or np.any(self.w < 0):
+        if self.w.ndim == 1:
+            if not np.all(self.w >= 0):
                 raise DataError("diagonal weights must be a nonnegative vector")
-        elif self.form == "full":
-            if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
-                raise DataError("full weights must be a square matrix")
-            if np.max(np.abs(self.w - self.w.T)) > 1e-9:
-                raise DataError("full weight matrix must be symmetric")
-            evals = np.linalg.eigvalsh(self.w)
-            if evals[0] < -1e-9 * max(1.0, evals[-1]):
-                raise DataError("full weight matrix must be positive semidefinite")
-        else:
-            raise DataError(f"unknown weight form '{self.form}'")
+            return
+        if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
+            raise DataError(f"full weights must be a square matrix, got shape {self.w.shape}")
+        if np.max(np.abs(self.w - self.w.T)) > 1e-9:
+            raise DataError("full weight matrix must be symmetric")
+        evals = np.linalg.eigvalsh(self.w)
+        if evals[0] < -1e-9 * max(1.0, evals[-1]):
+            raise DataError("full weight matrix must be positive semidefinite")
+
+    @property
+    def form(self):
+        return "identity" if self.w is None else ("diagonal", "full")[self.w.ndim - 1]
 
     @classmethod
     def identity(cls):
-        return cls("identity")
+        return cls()
 
     @classmethod
     def diagonal(cls, w):
-        return cls("diagonal", np.asarray(w, dtype=np.float64))
+        if np.ndim(w) != 1:
+            raise DataError("diagonal weights must be a nonnegative vector")
+        return cls(w)
 
     @classmethod
     def full(cls, mat):
-        return cls("full", np.asarray(mat, dtype=np.float64))
+        if np.ndim(mat) != 2:
+            raise DataError("full weights must be a square matrix")
+        return cls(mat)
 
 
 def _weighted_rows(features, weights):
@@ -66,11 +70,11 @@ def _weighted_rows(features, weights):
     Identity: x.  Diagonal: x * sqrt(w).  Full: x V sqrt(L), where
     W = V L V^T is the eigendecomposition of the PSD matrix W.
     """
-    if weights.w is not None and weights.w.shape[0] != features.shape[-1]:
-        raise DataError("weight size does not match the feature dimension")
-    if weights.form == "identity":
+    if weights.w is None:
         return features
-    if weights.form == "diagonal":
+    if weights.w.shape[0] != features.shape[-1]:
+        raise DataError("weight size does not match the feature dimension")
+    if weights.w.ndim == 1:
         return features * np.sqrt(weights.w)
     evals, evecs = np.linalg.eigh(weights.w)
     return features @ (evecs * np.sqrt(np.maximum(evals, 0.0)))

@@ -131,6 +131,25 @@ def test_eval_command_accepts_report(noisy_csv, tmp_path, capsys):
     assert 0.0 <= float(capsys.readouterr().out.strip()) <= 1.0
 
 
+def test_every_matrix_flag_accepts_a_report(noisy_csv, tmp_path, capsys):
+    csv_path, t_path, _ = noisy_csv
+    report_path = tmp_path / "rep.json"
+    main(["estimate", "--input", csv_path, "--output", str(report_path)])
+    capsys.readouterr()
+    assert main(["eval", "--estimated", t_path, "--true", str(report_path)]) == 0
+    error = float(capsys.readouterr().out.strip())
+    # the same input and seed reproduce the report, so its own matrix is exact
+    main(["estimate", "--input", csv_path, "--true-t", str(report_path)])
+    assert json.loads(capsys.readouterr().out)["error"] == 0.0
+    main(["eval", "--estimated", str(report_path), "--true", t_path])
+    assert float(capsys.readouterr().out.strip()) == error
+    test_path = tmp_path / "test.csv"
+    tm.save_dataset(two_blob_dataset(9, n=200, sep=2.5), str(test_path))
+    assert main(["train", "--train", csv_path, "--test", str(test_path), "--mode",
+                 "forward", "--t", str(report_path), "--epochs", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "forward"
+
+
 def test_train_command(noisy_csv, tmp_path, capsys):
     csv_path, t_path, _ = noisy_csv
     test_data = two_blob_dataset(9, n=600, sep=2.5)

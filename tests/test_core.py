@@ -178,6 +178,22 @@ def test_nan_prior_rejected():
         tm.TransitionMatrix(2, np.eye(2), p=[np.nan, np.nan])
 
 
+@pytest.mark.parametrize("field", ["noisy", "clean"])
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 0.0], [0.0, 1.0, np.nan], [0.0, 1.0, np.inf],
+                                    ["0", "1", "0"]])
+def test_dataset_rejects_non_integer_labels(field, labels):
+    good = [0, 1, 0]
+    noisy, clean = (labels, good) if field == "noisy" else (good, labels)
+    with pytest.raises(DataError, match=f"{field} labels must be integers"):
+        tm.Dataset(np.zeros((3, 2)), noisy, 2, clean_labels=clean)
+
+
+def test_dataset_accepts_whole_number_labels():
+    data = tm.Dataset(np.zeros((3, 2)), [0.0, 1.0, 0.0], 2, clean_labels=np.array([1, 1, 0]))
+    assert data.noisy_labels.dtype == np.int64 and data.noisy_labels.tolist() == [0, 1, 0]
+    assert data.clean_labels.tolist() == [1, 1, 0]
+
+
 def test_dataset_is_immutable():
     data = tm.Dataset(np.zeros((3, 2)), np.array([0, 1, 0]), 2)
     with pytest.raises(ValueError):
@@ -224,6 +240,26 @@ def test_load_rejects_non_json(tmp_path, load):
         load(str(path))
 
 
+def test_load_reads_estimated_t_of_a_report(tmp_path):
+    t = tm.validate_transition([[0.7, 0.3], [0.2, 0.8]], p=[0.4, 0.6])
+    path = tmp_path / "report.json"
+    tm.save_json(Report(estimated_t=t, consensus=model_consensus(t)), str(path))
+    back = tm.TransitionMatrix.load(str(path))
+    np.testing.assert_array_equal(back.t, t.t)
+    np.testing.assert_array_equal(back.p, t.p)
+
+
+@pytest.mark.parametrize("estimated_t,message", [
+    (5, "must be an object"), ({"k": 2}, "lacks key 't'"),
+    ({"k": 2, "t": [[0.5, 0.6], [0.5, 0.5]]}, "row sum"),
+])
+def test_load_malformed_report_names_the_file(tmp_path, estimated_t, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"estimated_t": estimated_t, "consensus": None}))
+    with pytest.raises(DataError, match=f"^{path}: .*{message}"):
+        tm.TransitionMatrix.load(str(path))
+
+
 def test_load_rejects_non_utf8_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_bytes(b'{"k": "\xff"}')
@@ -235,7 +271,7 @@ def test_report_json_has_every_field(tmp_path):
     t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]], p=[0.4, 0.6])
     stats = model_consensus(t)
     report = Report(estimated_t=t, consensus=stats,
-                    weights=tm.WeightVector(np.array([1.0, 0.5])),
+                    weights=tm.SimilarityWeights.diagonal([1.0, 0.5]),
                     error=0.01, config_echo=asdict(EstimatorConfig()),
                     timings={"solve": 0.1}, excluded_rows=2)
     path = tmp_path / "r.json"
@@ -271,6 +307,9 @@ def test_estimator_config_validation():
         EstimatorConfig(variant="nope")
     with pytest.raises(DataError):
         EstimatorConfig(bins=1)
+    with pytest.raises(DataError, match="bins must be an integer"):
+        EstimatorConfig(bins=2.5)
+    assert EstimatorConfig(bins=np.int64(4)).bins == 4
     with pytest.raises(DataError):
         EstimatorConfig(activation="relu")
 

@@ -121,6 +121,10 @@ def test_consensus_statistics_invariants():
     ]:
         with pytest.raises(DataError, match=message):
             ConsensusStatistics(c3, 10)
+    for n in (-5, 2.5, 10.0, None):
+        with pytest.raises(DataError, match="integer >= 0"):
+            ConsensusStatistics(np.full((2, 2, 2), 0.125), n)
+    assert ConsensusStatistics(np.full((2, 2, 2), 0.125), np.int64(0)).n == 0
     stats = ConsensusStatistics(np.full((2, 2, 2), 0.125), 10)
     assert stats.k == 2 and stats.n == 10
     np.testing.assert_array_equal(stats.c1, [0.5, 0.5])
@@ -152,7 +156,7 @@ def test_count_consensus_matches_reference(k, data):
     np.add.at(pairs, (labels[:, 0], labels[:, 1]), 1)
     stats = count_consensus(_triplets(labels), k)
     assert stats.n == n and stats.k == k
-    np.testing.assert_array_equal(stats.c3 * n, ref)
+    np.testing.assert_array_equal(stats.c3, ref / n)  # the division count_consensus makes
     np.testing.assert_allclose(stats.c1, singles / n, rtol=0, atol=1e-15)
     np.testing.assert_allclose(stats.c2, pairs / n, rtol=0, atol=1e-15)
 

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmest.core import DataError, NoiseRatePair
 from tmest.infotheory import (
     FDivergenceKind,
     MIEstimate,
-    WeightVector,
     build_weights,
     equal_frequency_bins,
     estimate_fmi,
@@ -125,11 +125,14 @@ def test_build_weights_unknown_activation():
         build_weights(mi, "softmax")
 
 
-def test_weight_vector_invariants():
-    with pytest.raises(DataError):
-        WeightVector(np.array([0.5, 0.9]))     # max not 1
-    with pytest.raises(DataError):
-        WeightVector(np.array([0.0, 1.0]))     # zero weight
+@settings(max_examples=60, deadline=None)
+@given(mi=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=30),
+       activation=st.sampled_from(["minmax", "log-minmax"]))
+def test_build_weights_in_unit_interval_with_max_one(mi, activation):
+    weights = build_weights(MIEstimate(np.array(mi)), activation)
+    assert weights.form == "diagonal" and weights.w.shape == (len(mi),)
+    assert np.all(weights.w > 0) and np.all(weights.w <= 1)
+    assert weights.w.max() == 1.0
 
 
 def test_kl_order_gap_symmetric_closed_form():
@@ -148,6 +151,13 @@ def test_kl_order_gap_zero_noise():
 def test_kl_order_gap_requires_estimable():
     with pytest.raises(DataError):
         kl_order_gap(NoiseRatePair(0.6, 0.5))
+
+
+@pytest.mark.parametrize("e1,e2", [(0.7, 0.6), (0.5, 0.5), (-0.1, 0.2), (0.2, -0.1)])
+def test_noise_rate_pair_rejects_inestimable_rates(e1, e2):
+    # rejected when built, so no bound is computed from them
+    with pytest.raises(DataError):
+        NoiseRatePair(e1, e2)
 
 
 def test_bias_zero_at_zero_noise():

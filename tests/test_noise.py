@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tmest as tm
-from tmest.core import DataError
+from tmest.core import DataError, stage_rng
 from tmest.noise import (
     NoiseScheme,
     avg_noise_rate_from_r,
@@ -105,6 +105,25 @@ def test_inject_noise_multiclass_empirical():
         rows = noisy.noisy_labels[clean == i]
         emp = np.bincount(rows, minlength=k) / rows.size
         np.testing.assert_allclose(emp, t.t[i], atol=0.015)
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+def test_inject_noise_matches_per_class_searchsorted(k):
+    rng = np.random.default_rng(k)
+    n = 20_000
+    clean = rng.integers(0, k, n)
+    data = tm.Dataset(rng.normal(size=(n, 2)), clean, k, clean_labels=clean)
+    dirichlet = build_transition(NoiseScheme("dirichlet", avg_rate=(k - 1) / (2 * k), seed=k), k)
+    # the identity has cumulative-sum ties at 0 and 1
+    for t, seed in [(dirichlet, 0), (dirichlet, 1), (tm.TransitionMatrix(k, np.eye(k)), 2)]:
+        # reference: one searchsorted per clean class on the same uniform draws
+        u = stage_rng(seed, "noise").random(n)
+        cum = np.cumsum(t.t, axis=1)
+        ref = np.empty(n, dtype=np.int64)
+        for i in range(k):
+            ref[clean == i] = np.searchsorted(cum[i], u[clean == i], side="right")
+        np.testing.assert_array_equal(inject_noise(data, t, seed=seed).noisy_labels,
+                                      np.minimum(ref, k - 1))
 
 
 def test_inject_noise_requires_clean_labels():

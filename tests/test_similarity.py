@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +89,25 @@ def test_indefinite_full_matrix_rejected():
     with pytest.raises(DataError, match="positive semidefinite"):
         SimilarityWeights.full([[1.0, 2.0], [2.0, 1.0]])
     SimilarityWeights.full([[1.0, 1.0], [1.0, 1.0]])  # singular PSD is fine
+
+
+def test_weight_form_follows_shape():
+    assert [f.name for f in fields(SimilarityWeights)] == ["w"]
+    assert SimilarityWeights.identity().form == "identity"
+    assert SimilarityWeights.identity().w is None
+    assert SimilarityWeights.diagonal([1.0, 0.5]).form == "diagonal"
+    assert SimilarityWeights.full(W3).form == "full"
+    assert SimilarityWeights(np.ones(3)).form == "diagonal"
+    with pytest.raises(DataError, match="diagonal weights must be a nonnegative vector"):
+        SimilarityWeights.diagonal(W3)
+    with pytest.raises(DataError, match="diagonal weights must be a nonnegative vector"):
+        SimilarityWeights.diagonal([1.0, np.nan])
+    with pytest.raises(DataError, match="full weights must be a square matrix"):
+        SimilarityWeights.full([1.0, 0.5])
+    with pytest.raises(DataError, match="full weights must be a square matrix"):
+        SimilarityWeights.full(np.ones((2, 3)))
+    with pytest.raises(DataError, match="square matrix"):
+        SimilarityWeights(np.ones((2, 2, 2)))
 
 
 def test_dimension_mismatch():

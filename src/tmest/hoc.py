@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import DataError, TransitionMatrix, _freeze, stage_rng
 
@@ -158,12 +157,44 @@ def _spectral_start(stats, rng):
     return t / t.sum(axis=1, keepdims=True), p / p.sum()
 
 
+def _assignment(cost):
+    """Minimum-cost assignment of a square matrix: the row given to each column.
+
+    The Hungarian algorithm with row and column potentials u, v (Kuhn 1955;
+    Munkres 1957), in its O(K^3) shortest-augmenting-path form: row i joins
+    by a Dijkstra-like search over reduced costs cost - u - v from the
+    virtual column 0, then the potentials move by each step's slack and the
+    path is flipped.  Each step is vectorized over the columns.
+    """
+    k = cost.shape[0]
+    u, v = np.zeros(k + 1), np.zeros(k + 1)
+    row_of = np.zeros(k + 1, dtype=np.int64)  # 1-based row held by column j, 0 = free
+    way = np.zeros(k + 1, dtype=np.int64)     # previous column on the search path
+    for i in range(1, k + 1):
+        row_of[0], j = i, 0
+        slack = np.full(k + 1, np.inf)
+        used = np.zeros(k + 1, dtype=bool)
+        while row_of[j]:
+            used[j] = True
+            reduced = cost[row_of[j] - 1] - u[row_of[j]] - v[1:]
+            better = ~used[1:] & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            way[1:][better] = j
+            nxt = 1 + np.argmin(np.where(used[1:], np.inf, slack[1:]))
+            delta = slack[nxt]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            j = nxt
+        while j:
+            row_of[j] = row_of[way[j]]
+            j = way[j]
+    return row_of[1:] - 1
+
+
 def _maximize_trace(t, p):
     """Permute rows (clean-label indices) so the diagonal mass is maximal."""
-    k = t.shape[0]
-    benefit = t.T  # benefit[i, j]: row j placed at position i contributes t[j, i]
-    rows, cols = linear_sum_assignment(-benefit)
-    perm = cols[np.argsort(rows)]
+    perm = _assignment(-t)  # perm[i]: the row of t placed at position i
     return t[perm], p[perm]
 
 

@@ -1,13 +1,17 @@
 """Weighted (soft) cosine similarity and exact 2-nearest-neighbor retrieval.
 
-The 2-NN search is brute force, O(N^2 d), so neighbor sets are exact and
-deterministic.  It scores a chunk of query rows against every candidate with
-one matrix product, masks each row's own entry with -inf and takes two
-``argmax`` passes, masking the first winner before the second.  ``argmax``
-returns the first maximum, so equal computed similarities break toward the
-lower row index.  Copies of one row tie only when the matrix product scores
-them bitwise-equal, which BLAS kernels do not promise: two copies can differ
-by one ulp.  Rows with zero weighted norm have no defined similarity; they are
+The 2-NN search is brute force, O(N^2 d), and its neighbor sets are those of
+float64 scores, exact and deterministic.  Each distinct feature row is
+weighted and normalized once, so all copies of a row share one unit row.  A
+float32 pass scores a chunk of query rows against every row with one matrix
+product, masks each row's own entry with -inf and takes its top three scores
+(two masked ``argmax`` passes and a ``max``).  Its first two are kept when
+both margins beat a proven bound on the float32 rounding error
+(`_score_bound`).  The other rows (near ties, and copies, which tie) are
+searched again in float64 against the distinct rows only.  Equal float64
+similarities break toward the lower row index, and copies of a row tie by
+construction.  Score blocks hold at most `_CHUNK` rows and `_BUFFER_BYTES`
+bytes.  Rows with zero weighted norm have no defined similarity; they are
 left out both as queries and as candidates.
 """
 
@@ -17,7 +21,8 @@ import numpy as np
 
 from .core import DataError, _freeze
 
-_CHUNK = 512
+_CHUNK = 512                # most query rows per score block
+_BUFFER_BYTES = 128 << 20   # most bytes per score block
 
 
 @dataclass
@@ -120,40 +125,176 @@ class NeighborTriplets:
         return self.labels.shape[0]
 
 
+def _block_rows(width, itemsize):
+    """Query rows per score block: at most `_CHUNK`, and at most `_BUFFER_BYTES`."""
+    return max(1, min(_CHUNK, _BUFFER_BYTES // (itemsize * width)))
+
+
+def _score_bound(d):
+    """Bound on |s32 - s64| for float64 unit rows a, b of dimension d.
+
+    s32 is a . b scored in float32 from fl32(a) and fl32(b) in any summation
+    order, s64 the same product scored in float64.  With u = 2^-24 (float32)
+    and v = 2^-53 (float64) unit roundoff, and gamma_n(u) = n u / (1 - n u):
+
+    * The rows are x / sqrt(fl(sum x^2)), so ||a||, ||b|| <= 1 + e with
+      e = gamma_{d+2}(v): the squared norm is off by gamma_d(v), the square
+      root and the division by one rounding each.
+    * Input rounding: fl32(a) = a + da with |da| <= u |a|, so
+      |fl32(a) . fl32(b) - a . b| <= (2u + u^2) sum |a_k b_k|
+      <= (2u + u^2)(1 + e)^2 by Cauchy-Schwarz.
+    * Accumulation: a dot product of length d in any order is off by at most
+      gamma_d times sum |a_k b_k| (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2002, eq. 3.5): gamma_d(u)(1 + u)^2 (1 + e)^2 for the
+      float32 rows and gamma_d(v)(1 + e)^2 for s64.
+    * Underflow: float32 rounding of an input or a product is off by at most
+      2^-150 absolutely beyond the relative bound, d 2^-148 in all.
+
+    The sum of these terms bounds |s32 - a . b| + |a . b - s64|.  It is
+    infinite when d u >= 1.  For d = 40 it is about 2.5e-6.
+    """
+    def gamma(n, r):
+        return n * r / (1 - n * r)
+
+    u, v = 2.0 ** -24, 2.0 ** -53
+    if d * u >= 1:
+        return np.inf
+    e = gamma(d + 2, v)
+    return ((2 * u + u * u + gamma(d, u) * (1 + u) ** 2 + gamma(d, v)) * (1 + e) ** 2
+            + d * 2.0 ** -148)
+
+
+def _row_hash(bits):
+    """A 64-bit multiply-add hash of each row of a uint64 array (wrapping)."""
+    mult = np.random.default_rng(0).integers(2 ** 64, size=bits.shape[1], dtype=np.uint64)
+    return bits @ (mult | np.uint64(1))
+
+
+def _distinct_rows(x):
+    """Group the bitwise-identical rows of x, reading -0.0 as 0.0.
+
+    Returns (first, inverse): the lowest row of each group, in increasing
+    order, and the group of each row, so groups are numbered by their lowest
+    row.  Rows are grouped by a hash of their bytes with a 1-D ``np.unique``;
+    the groups are then checked bit for bit, and on a hash collision the rows
+    are grouped exactly by ``np.unique(axis=0)``.
+    """
+    bits = np.ascontiguousarray(x + 0.0).view(np.uint64)
+    _, first, inverse = np.unique(_row_hash(bits), return_index=True, return_inverse=True)
+    if not np.array_equal(bits[first[inverse]], bits):
+        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return np.sort(first), rank[inverse.ravel()]
+
+
+def _lowest_members(inverse, groups):
+    """(groups, 3) array of the three lowest rows of each group, -1 past its size."""
+    members = np.argsort(inverse, kind="stable")
+    counts = np.bincount(inverse, minlength=groups)
+    starts = np.cumsum(counts) - counts
+    low = np.full((groups, 3), -1, dtype=np.int64)
+    for k in range(3):
+        has = counts > k
+        low[has, k] = members[starts[has] + k]
+    return low
+
+
+def _exact_2nn(unit, inverse, redo):
+    """Float64 2-NN of the rows `redo`, under the lower-index rule.
+
+    `unit` holds the distinct unit rows and row i is a copy of
+    unit[inverse[i]].  Each distinct query row is scored against the distinct
+    rows only, and two masked ``argmax`` passes over the other groups give
+    the best two, ties going to the lower group and so to the lower lowest
+    row.  A row's neighbors are then the best two of five candidates, by
+    score and then by row: the two lowest other rows of its own group, the two
+    lowest rows of the best other group and the lowest row of the second.
+    Every copy of a row is one column here, so copies tie by construction.
+    """
+    low = _lowest_members(inverse, unit.shape[0])
+    own = inverse[redo]
+    query, at = np.unique(own, return_inverse=True)
+    self_score = np.empty(query.size)
+    best = np.empty((query.size, 2), dtype=np.int64)
+    score = np.empty((query.size, 2))
+    step = _block_rows(unit.shape[0], 8)
+    for start in range(0, query.size, step):
+        stop = min(start + step, query.size)
+        g = query[start:stop]
+        sims = unit[g] @ unit.T
+        q = np.arange(stop - start)
+        self_score[start:stop] = sims[q, g]
+        sims[q, g] = -np.inf
+        for k in range(2):
+            best[start:stop, k] = sims.argmax(axis=1)
+            score[start:stop, k] = sims[q, best[start:stop, k]]
+            sims[q, best[start:stop, k]] = -np.inf
+
+    mates = low[own]
+    mates = np.take_along_axis(mates, np.argsort(mates == redo[:, None], axis=1,
+                                                 kind="stable"), axis=1)[:, :2]
+    top, second = best[at, 0], best[at, 1]
+    cand = np.column_stack([mates, low[top, 0], low[top, 1], low[second, 0]])
+    cand_score = np.column_stack([self_score[at], self_score[at], score[at, 0],
+                                  score[at, 0], score[at, 1]])
+    cand_score[cand < 0] = -np.inf
+    order = np.lexsort((cand, -cand_score))[:, :2]
+    return np.take_along_axis(cand, order, axis=1)
+
+
 def get_2nn_triplets(data, weights):
     """Exact 2-NN of every row under soft-cosine distance 1 - Sim_W.
 
-    Returns the noisy-label triplets used by the consensus counter.  For each
-    chunk of query rows the similarities to all candidates are computed at
-    once, into one buffer that every chunk reuses; the row's own entry is
-    set to -inf, the first neighbor is the ``argmax``, and the second is the
-    ``argmax`` after the first is set to -inf as well.  Equal similarities break toward the lower row index.
-    Rows with zero weighted norm are excluded as queries and as candidates,
-    so ``triplets.rows`` lists the rows that were kept; fewer than 3 kept
-    rows is an error.
+    Returns the noisy-label triplets used by the consensus counter.  Each
+    distinct feature row is weighted and normalized once, so copies of a row
+    share one unit row.  A float32 pass scores each chunk of query rows
+    against every row and takes the top three scores by two masked ``argmax``
+    passes and a ``max``; the row's own entry is masked first.  Its pair (first, second) is kept
+    when both margins, first - second and second - third, exceed twice
+    `_score_bound`: float64 scores then order the three the same way, and
+    every other row below them.  Every other row, near ties and copies among
+    them, is searched again in float64 by `_exact_2nn`.  Equal float64
+    similarities break toward the lower row index.  Rows with zero weighted
+    norm are excluded as queries and as candidates, so ``triplets.rows``
+    lists the rows that were kept; fewer than 3 kept rows is an error.
     """
-    xw = _weighted_rows(data.features, weights)
+    x = data.features
+    first, inverse = _distinct_rows(x)
+    xw = _weighted_rows(x if first.size == x.shape[0] else x[first], weights)
     sq = np.einsum("ij,ij->i", xw, xw)
-    rows = np.flatnonzero(sq > 0)
+    keep = sq > 0
+    rows = np.flatnonzero(keep[inverse])
     if rows.size < 3:
         raise DataError(f"need at least 3 rows with nonzero weighted norm for "
                         f"2-NN triplets, got {rows.size}")
-    if rows.size < xw.shape[0]:
-        xw, sq = xw[rows], sq[rows]
-    xw = xw / np.sqrt(sq)[:, None]
+    if not keep.all():
+        xw, sq = xw[keep], sq[keep]
+    unit = xw / np.sqrt(sq)[:, None]
+    inverse = (np.cumsum(keep) - 1)[inverse[rows]]
 
     n = rows.size
+    x32 = unit.astype(np.float32)[inverse]
+    margin = 2 * _score_bound(unit.shape[1])
     nearest = np.empty((n, 2), dtype=np.int64)
-    buf = np.empty((min(_CHUNK, n), n))
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        sims = np.matmul(xw[start:stop], xw.T, out=buf[:stop - start])
+    sure = np.empty(n, dtype=bool)
+    step = _block_rows(n, 4)
+    buf = np.empty((min(step, n), n), dtype=np.float32)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        sims = np.matmul(x32[start:stop], x32.T, out=buf[:stop - start])
         q = np.arange(stop - start)
         sims[q, q + start] = -np.inf
-        first = sims.argmax(axis=1)
-        sims[q, first] = -np.inf
-        nearest[start:stop, 0] = first
-        nearest[start:stop, 1] = sims.argmax(axis=1)
+        top = np.empty((3, stop - start))
+        for k in range(2):
+            j = nearest[start:stop, k] = sims.argmax(axis=1)
+            top[k] = sims[q, j]
+            sims[q, j] = -np.inf
+        top[2] = sims.max(axis=1)
+        sure[start:stop] = (top[0] - top[1] > margin) & (top[1] - top[2] > margin)
+    redo = np.flatnonzero(~sure)
+    if redo.size:
+        nearest[redo] = _exact_2nn(unit, inverse, redo)
 
     indices = rows[nearest]
     y = data.noisy_labels

@@ -11,6 +11,7 @@ import tmest.hoc
 from tmest.hoc import (
     ConsensusStatistics,
     HocSolution,
+    _assignment,
     _em,
     _maximize_trace,
     _spectral_start,
@@ -361,6 +362,26 @@ def test_maximize_trace_exhaustive():
             # the same permutation is applied to p
             order = [np.flatnonzero((t == row).all(axis=1))[0] for row in t2]
             np.testing.assert_array_equal(p2, p[order])
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 6), levels=st.sampled_from([1, 2, 3, 0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_maximize_trace_attains_brute_force_maximum(k, levels, seed):
+    # levels > 0 draws entries from {0, 1/levels, ..., 1}, so many assignments
+    # tie; levels == 0 draws Dirichlet rows
+    from itertools import permutations
+    rng = np.random.default_rng(seed)
+    t = (rng.integers(0, levels + 1, (k, k)) / levels if levels
+         else rng.dirichlet(np.ones(k), size=k))
+    p = rng.dirichlet(np.ones(k))
+    perm = _assignment(-t)
+    assert sorted(perm.tolist()) == list(range(k))
+    t2, p2 = _maximize_trace(t, p)
+    np.testing.assert_array_equal(t2, t[perm])
+    np.testing.assert_array_equal(p2, p[perm])
+    best = max(np.trace(t[list(order)]) for order in permutations(range(k)))
+    assert np.trace(t2) == pytest.approx(best, abs=1e-12)
 
 
 def test_solution_fields():

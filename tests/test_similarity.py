@@ -6,8 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import tmest as tm
 from tmest.core import DataError
+from tmest import similarity
 from tmest.similarity import (
+    _BUFFER_BYTES,
     _CHUNK,
+    _block_rows,
+    _distinct_rows,
+    _score_bound,
     NeighborTriplets,
     SimilarityWeights,
     clusterability_rate,
@@ -115,9 +120,8 @@ def test_dimension_mismatch():
         soft_cosine(X1, X3, SimilarityWeights.diagonal([1.0, 1.0]))
 
 
-def _reference_2nn(x, weights):
-    """O(N^2) reference: stable argsort of similarities, self excluded."""
-    n = x.shape[0]
+def _reference_sims(x, weights):
+    """Soft-cosine similarities of every pair of rows of x."""
     if weights.form == "identity":
         w = np.eye(x.shape[1])
     elif weights.form == "diagonal":
@@ -126,9 +130,19 @@ def _reference_2nn(x, weights):
         w = weights.w
     g = x @ w @ x.T
     norms = np.sqrt(np.diag(g))
-    sims = g / np.outer(norms, norms)
+    return g / np.outer(norms, norms)
+
+
+def _stable_top2(sims):
+    """Each row's two best columns, self excluded, ties to the lower column."""
+    sims = sims.copy()
     np.fill_diagonal(sims, -np.inf)
     return np.argsort(-sims, axis=1, kind="stable")[:, :2]
+
+
+def _reference_2nn(x, weights):
+    """O(N^2) reference: stable argsort of similarities, self excluded."""
+    return _stable_top2(_reference_sims(x, weights))
 
 
 @pytest.mark.parametrize("seed,n,d", [(0, 50, 3), (1, 700, 5), (2, 1300, 8)])
@@ -290,6 +304,100 @@ def test_2nn_permutation_equivariant(n, d, form, seed):
     moved = get_2nn_triplets(tm.Dataset(x[perm], y[perm], 3), weights)
     np.testing.assert_array_equal(perm[moved.indices], base.indices[perm])
     np.testing.assert_array_equal(moved.labels, base.labels[perm])
+
+
+def _unit(m):
+    return m / np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 512), near=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_float32_score_error_within_bound(d, near, seed):
+    # random rows, or rows within a relative distance of 1e-8 to 1e-2 of their
+    # partners (scores near 1), with entry scales spread over six decades
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(64, d)) * 10.0 ** rng.uniform(-3, 3, d)
+    b = a + 10.0 ** rng.uniform(-8, -2) * np.abs(a) * rng.normal(size=a.shape) if near \
+        else rng.normal(size=a.shape)
+    a, b = _unit(a), _unit(b)
+    s32 = (a.astype(np.float32) @ b.astype(np.float32).T).astype(np.float64)
+    assert np.max(np.abs(s32 - a @ b.T)) <= _score_bound(d)
+    assert _score_bound(d) < (d + 3) * 2.0 ** -24
+
+
+def test_2nn_near_tie_decided_in_float64():
+    # against row 0, row 2 scores 1e-9 above row 1: float32 rounds both scores
+    # to one value, so only the float64 search orders them
+    rng = np.random.default_rng(7)
+    c = 0.8
+    far = rng.normal(size=(300, 3))
+    far[:, 0] = -np.abs(far[:, 0])
+    x = np.vstack([[1.0, 0.0, 0.0],
+                   [c, np.sqrt(1 - c * c), 0.0],
+                   [c + 1e-9, 0.0, np.sqrt(1 - (c + 1e-9) ** 2)],
+                   far])
+    unit = _unit(x)
+    s1, s2 = unit[0] @ unit[1], unit[0] @ unit[2]
+    assert 0.5e-9 < s2 - s1 < 2e-9 and np.float32(s1) == np.float32(s2)
+    data = tm.Dataset(x, rng.integers(0, 2, len(x)), 2)
+    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    assert trip.indices[0].tolist() == [2, 1]
+    np.testing.assert_array_equal(trip.indices, _reference_2nn(x, SimilarityWeights.identity()))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(3, 2 * _CHUNK + 150), d=st.integers(2, 8), distinct=st.integers(1, 30),
+       form=st.sampled_from(["identity", "diagonal", "full"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_2nn_duplicate_rows_break_ties_to_lower_index(n, d, distinct, form, seed):
+    # generic floats repeated: every copy of a row must score the same, so a
+    # row's neighbors follow a stable sort of similarities computed once per
+    # pair of distinct rows, and its copies come lowest index first
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(distinct, d))
+    which = rng.integers(0, distinct, n)
+    weights = _weights_of(form, rng, d)
+    expect = _stable_top2(_reference_sims(base, weights)[which][:, which])
+    trip = get_2nn_triplets(tm.Dataset(base[which], rng.integers(0, 3, n), 3), weights)
+    np.testing.assert_array_equal(trip.indices, expect)
+
+
+def test_distinct_rows_exact_under_hash_collisions(monkeypatch):
+    rng = np.random.default_rng(8)
+    base = rng.normal(size=(6, 3))
+    base[5, 0] = 0.0
+    which = rng.integers(0, 6, 400)
+    x = base[which]
+    x[np.flatnonzero(which == 5)[::2], 0] = -0.0  # -0.0 and 0.0 copies group together
+    _, seen, inv = np.unique(which, return_index=True, return_inverse=True)
+    expect_first = np.sort(seen)
+    expect_inverse = np.searchsorted(expect_first, seen[inv])
+    data = tm.Dataset(x, rng.integers(0, 2, 400), 2)
+    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    for _ in range(2):
+        first, inverse = _distinct_rows(x)
+        np.testing.assert_array_equal(first, expect_first)
+        np.testing.assert_array_equal(inverse, expect_inverse)
+        np.testing.assert_array_equal(
+            get_2nn_triplets(data, SimilarityWeights.identity()).indices, trip.indices)
+        # every row hashing alike forces the exact fallback
+        monkeypatch.setattr(similarity, "_row_hash", lambda bits: np.zeros(len(bits), np.uint64))
+
+
+def test_score_buffer_bounded_by_bytes(monkeypatch):
+    assert _block_rows(20_000, 4) == _block_rows(20_000, 8) == _CHUNK
+    assert _block_rows(10 ** 6, 8) * 8 * 10 ** 6 <= _BUFFER_BYTES
+    assert _block_rows(10 ** 9, 8) == 1
+    # a budget of three float32 rows: many blocks in both passes, same neighbors
+    rng = np.random.default_rng(9)
+    n = 257
+    x = rng.normal(size=(n, 4))[rng.integers(0, n, n)]
+    data = tm.Dataset(x, rng.integers(0, 2, n), 2)
+    expect = get_2nn_triplets(data, SimilarityWeights.identity())
+    monkeypatch.setattr(similarity, "_BUFFER_BYTES", 3 * 4 * n)
+    assert _block_rows(n, 4) == 3
+    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    np.testing.assert_array_equal(trip.indices, expect.indices)
 
 
 def test_clusterability_separated_blobs():

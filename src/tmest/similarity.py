@@ -3,16 +3,18 @@
 The 2-NN search is brute force, O(N^2 d), and its neighbor sets are those of
 float64 scores, exact and deterministic.  Each distinct feature row is
 weighted and normalized once, so all copies of a row share one unit row.  A
-float32 pass scores a chunk of query rows against every row with one matrix
-product, masks each row's own entry with -inf and takes its top three scores
-(two masked ``argmax`` passes and a ``max``).  Its first two are kept when
-both margins beat a proven bound on the float32 rounding error
-(`_score_bound`).  The other rows (near ties, and copies, which tie) are
-searched again in float64 against the distinct rows only.  Equal float64
-similarities break toward the lower row index, and copies of a row tie by
-construction.  Score blocks hold at most `_CHUNK` rows and `_BUFFER_BYTES`
-bytes.  Rows with zero weighted norm have no defined similarity; they are
-left out both as queries and as candidates.
+float32 pass scores a block of at most `_CHUNK` query rows against every row
+with one matrix product and masks each row's own entry with -inf.  One
+grouped pass then narrows each row to a few candidate columns that hold its
+top three scores (`_top3_candidates`), and two masked ``argmax`` passes and a
+``max`` over those give the three.  Its first two are kept when both margins
+beat a proven bound on the float32 rounding error (`_score_bound`).  The
+other rows (near ties, and copies, which tie) are searched again in float64
+against the distinct rows only.  Equal float64 similarities break toward the
+lower row index, and copies of a row tie by construction.  Score blocks hold
+at most `_CHUNK` rows and `_BUFFER_BYTES` bytes.  Rows with zero weighted norm
+have no defined similarity; they are left out both as queries and as
+candidates.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,8 @@ import numpy as np
 
 from .core import DataError, _freeze
 
-_CHUNK = 512                # most query rows per score block
+_CHUNK = 128                # most query rows per score block
+_GROUPS = 8                 # members of each column group in `_top3_candidates`
 _BUFFER_BYTES = 128 << 20   # most bytes per score block
 
 
@@ -219,10 +222,11 @@ def _exact_2nn(unit, inverse, redo):
     best = np.empty((query.size, 2), dtype=np.int64)
     score = np.empty((query.size, 2))
     step = _block_rows(unit.shape[0], 8)
+    buf = np.empty((min(step, query.size), unit.shape[0]))
     for start in range(0, query.size, step):
         stop = min(start + step, query.size)
         g = query[start:stop]
-        sims = unit[g] @ unit.T
+        sims = np.matmul(unit[g], unit.T, out=buf[:stop - start])
         q = np.arange(stop - start)
         self_score[start:stop] = sims[q, g]
         sims[q, g] = -np.inf
@@ -243,15 +247,50 @@ def _exact_2nn(unit, inverse, redo):
     return np.take_along_axis(cand, order, axis=1)
 
 
+def _top3_candidates(sims):
+    """Columns of each row of `sims` among which lie the row's three largest values.
+
+    The first 8m columns, m = width // 8, form m strided groups of 8: column j
+    is in group j mod m.  One pass takes each group's maximum, and three
+    masked ``argmax`` passes pick the three groups with the largest maxima.
+    Their 24 members and the fewer than 8 columns past 8m are the candidates.
+    Whatever the order of ties, the three largest values of a row lie among
+    them: a value in any other group is at most each chosen group's maximum,
+    and those are three distinct candidates.  Rows narrower than 24 columns
+    keep every column.
+    """
+    b, width = sims.shape
+    m = width // _GROUPS
+    if m < 3:
+        return np.broadcast_to(np.arange(width), (b, width))
+    peak = sims[:, :_GROUPS * m].reshape(b, _GROUPS, m).max(axis=1)
+    q = np.arange(b)
+    best = np.empty((b, 3), dtype=np.intp)
+    for k in range(3):
+        j = peak.argmax(axis=1)
+        # where every group left peaks at -inf, argmax may return a taken
+        # group; any free group serves there, and one of groups 0-2 is free
+        again = (best[:, :k] == j[:, None]).any(axis=1)
+        if again.any():
+            j[again] = np.argmin((best[again, :k, None] == np.arange(3)).any(axis=1), axis=1)
+        best[:, k] = j
+        peak[q, j] = -np.inf
+    members = (best[:, :, None] + m * np.arange(_GROUPS)).reshape(b, 3 * _GROUPS)
+    tail = np.broadcast_to(np.arange(_GROUPS * m, width), (b, width - _GROUPS * m))
+    return np.concatenate([members, tail], axis=1)
+
+
 def get_2nn_triplets(data, weights):
     """Exact 2-NN of every row under soft-cosine distance 1 - Sim_W.
 
     Returns the noisy-label triplets used by the consensus counter.  Each
     distinct feature row is weighted and normalized once, so copies of a row
-    share one unit row.  A float32 pass scores each chunk of query rows
-    against every row and takes the top three scores by two masked ``argmax``
-    passes and a ``max``; the row's own entry is masked first.  Its pair (first, second) is kept
-    when both margins, first - second and second - third, exceed twice
+    share one unit row.  A float32 pass scores each block of at most `_CHUNK`
+    query rows against every row and masks each row's own entry.  One grouped
+    pass (`_top3_candidates`) narrows each row to a few dozen candidate
+    columns that hold its top three scores, and two masked ``argmax`` passes
+    and a ``max`` over those give the three.  Its pair (first, second) is
+    kept when both margins, first - second and second - third, exceed twice
     `_score_bound`: float64 scores then order the three the same way, and
     every other row below them.  Every other row, near ties and copies among
     them, is searched again in float64 by `_exact_2nn`.  Equal float64
@@ -271,10 +310,13 @@ def get_2nn_triplets(data, weights):
     if not keep.all():
         xw, sq = xw[keep], sq[keep]
     unit = xw / np.sqrt(sq)[:, None]
+    del xw
     inverse = (np.cumsum(keep) - 1)[inverse[rows]]
 
     n = rows.size
-    x32 = unit.astype(np.float32)[inverse]
+    x32 = unit.astype(np.float32)
+    if unit.shape[0] < n:
+        x32 = x32[inverse]
     margin = 2 * _score_bound(unit.shape[1])
     nearest = np.empty((n, 2), dtype=np.int64)
     sure = np.empty(n, dtype=bool)
@@ -285,13 +327,17 @@ def get_2nn_triplets(data, weights):
         sims = np.matmul(x32[start:stop], x32.T, out=buf[:stop - start])
         q = np.arange(stop - start)
         sims[q, q + start] = -np.inf
+        cols = _top3_candidates(sims)
+        vals = np.take_along_axis(sims, cols, axis=1)
         top = np.empty((3, stop - start))
         for k in range(2):
-            j = nearest[start:stop, k] = sims.argmax(axis=1)
-            top[k] = sims[q, j]
-            sims[q, j] = -np.inf
-        top[2] = sims.max(axis=1)
+            j = vals.argmax(axis=1)
+            nearest[start:stop, k] = cols[q, j]
+            top[k] = vals[q, j]
+            vals[q, j] = -np.inf
+        top[2] = vals.max(axis=1)
         sure[start:stop] = (top[0] - top[1] > margin) & (top[1] - top[2] > margin)
+    del buf, sims, x32
     redo = np.flatnonzero(~sure)
     if redo.size:
         nearest[redo] = _exact_2nn(unit, inverse, redo)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmest.core import DataError, NoiseRatePair
 from tmest.infotheory import (
+    _BATCH,
     FDivergenceKind,
     MIEstimate,
     build_weights,
@@ -84,6 +86,92 @@ def test_estimate_fmi_input_checks():
         estimate_fmi(np.zeros((5, 2)), np.zeros(5, dtype=int))
     with pytest.raises(DataError):
         estimate_fmi(np.zeros(5), np.zeros(5, dtype=int), bins=15)
+    with pytest.raises(DataError, match="bins must be an integer >= 2"):
+        estimate_fmi_per_dim(np.zeros((5, 2)), np.zeros(5, dtype=int), bins=1)
+
+
+def test_per_dim_rejects_1d_features():
+    with pytest.raises(DataError, match="features must be a 2-d array"):
+        estimate_fmi_per_dim(np.zeros(20), np.zeros(20, dtype=int))
+
+
+def test_estimate_fmi_rejects_negative_labels():
+    y = np.arange(20) % 2
+    y[3] = -1
+    with pytest.raises(DataError, match="labels must be nonnegative"):
+        estimate_fmi(np.arange(20.0), y)
+
+
+def test_per_dim_rejects_nan_column():
+    x = np.random.default_rng(3).normal(size=(30, 3))
+    x[7, 2] = np.nan
+    with pytest.raises(DataError, match="feature column 2 holds a NaN"):
+        estimate_fmi_per_dim(x, np.arange(30) % 2)
+
+
+def test_estimate_fmi_rejects_fractional_labels():
+    y = (np.arange(20) % 2).astype(float)
+    y[5] = 0.5
+    with pytest.raises(DataError, match="labels must be integers"):
+        estimate_fmi(np.arange(20.0), y)
+
+
+def _reference_fmi(column, labels, kind, bins):
+    """Per-column plug-in f-MI from np.quantile edges and np.searchsorted."""
+    edges = np.quantile(column, np.linspace(0.0, 1.0, bins + 1))
+    b = np.searchsorted(np.unique(edges)[1:-1], column, side="right")
+    nb, ny = int(b.max()) + 1, int(labels.max()) + 1
+    joint = np.bincount(b * ny + labels, minlength=nb * ny).reshape(nb, ny)
+    joint = joint / joint.sum()
+    prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+    if kind is FDivergenceKind.TV:
+        return 0.5 * float(np.abs(joint - prod).sum())
+    nz = joint > 0
+    return float(np.sum(joint[nz] * np.log2(joint[nz] / prod[nz])))
+
+
+@pytest.mark.parametrize("k", [2, 3, 10])
+@pytest.mark.parametrize("n", [15, 16, 997])
+def test_per_dim_bit_identical_to_per_column_reference(k, n):
+    rng = np.random.default_rng(k * 1000 + n)
+    y = rng.integers(0, k, n)
+    x = np.column_stack([
+        rng.normal(size=n),                                   # continuous
+        np.full(n, 2.5),                                      # constant
+        rng.integers(0, 3, n).astype(float),                  # three values
+        np.where(rng.random(n) < 0.9, 0.0, rng.normal(size=n)),  # mostly zeros
+        y + 0.1 * rng.normal(size=n),                         # informative
+        1e300 * rng.normal(size=n),                           # huge scale
+        1e-300 * rng.normal(size=n),                          # tiny scale
+        np.round(rng.normal(size=n), 1),                      # rounded ties
+        -0.0 * np.ones(n),                                    # negative zeros
+        rng.permutation(n).astype(float),                     # all distinct
+    ])
+    for kind in FDivergenceKind:
+        got = estimate_fmi_per_dim(x, y, kind).per_dim
+        expect = [_reference_fmi(x[:, j], y, kind, 15) for j in range(x.shape[1])]
+        np.testing.assert_array_equal(got, expect)
+        for j in range(x.shape[1]):
+            assert estimate_fmi(x[:, j], y, kind) == expect[j]
+    for j in range(x.shape[1]):
+        edges = np.quantile(x[:, j], np.linspace(0.0, 1.0, 16))
+        np.testing.assert_array_equal(equal_frequency_bins(x[:, j], 15),
+                                      np.searchsorted(np.unique(edges)[1:-1], x[:, j],
+                                                      side="right"))
+
+
+def test_per_dim_working_set_bounded():
+    # traced peak: three arrays of one batch of columns, however many columns
+    rng = np.random.default_rng(4)
+    n, d = 20_000, 40
+    x, y = rng.normal(size=(n, d)), rng.integers(0, 2, n)
+    tracemalloc.start()
+    try:
+        estimate_fmi_per_dim(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * _BATCH * n * 8 + (1 << 20)
 
 
 def test_per_dim_ordering():

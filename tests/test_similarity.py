@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -13,6 +14,7 @@ from tmest.similarity import (
     _block_rows,
     _distinct_rows,
     _score_bound,
+    _top3_candidates,
     NeighborTriplets,
     SimilarityWeights,
     clusterability_rate,
@@ -21,6 +23,10 @@ from tmest.similarity import (
 )
 
 from conftest import two_blob_dataset
+
+# query rows in the hypothesis search tests: several score blocks at any
+# `_CHUNK` up to 512
+MANY_ROWS = 2 * 512 + 150
 
 # three reference points: which of X1/X2 is closer to X3 depends on W
 X1 = np.array([1.0, 0.0, 1.0])
@@ -278,7 +284,7 @@ def _dyadic_case(rng, n, d, distinct, form):
 
 
 @settings(max_examples=12, deadline=None)
-@given(n=st.integers(3, 2 * _CHUNK + 150), d=st.integers(4, 8),
+@given(n=st.integers(3, MANY_ROWS), d=st.integers(4, 8),
        distinct=st.integers(1, 40), form=st.sampled_from(["identity", "diagonal", "full"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_2nn_matches_reference_with_ties(n, d, distinct, form, seed):
@@ -290,7 +296,7 @@ def test_2nn_matches_reference_with_ties(n, d, distinct, form, seed):
 
 
 @settings(max_examples=12, deadline=None)
-@given(n=st.integers(3, 2 * _CHUNK + 150), d=st.integers(2, 6),
+@given(n=st.integers(3, MANY_ROWS), d=st.integers(2, 6),
        form=st.sampled_from(["identity", "diagonal", "full"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_2nn_permutation_equivariant(n, d, form, seed):
@@ -346,7 +352,7 @@ def test_2nn_near_tie_decided_in_float64():
 
 
 @settings(max_examples=15, deadline=None)
-@given(n=st.integers(3, 2 * _CHUNK + 150), d=st.integers(2, 8), distinct=st.integers(1, 30),
+@given(n=st.integers(3, MANY_ROWS), d=st.integers(2, 8), distinct=st.integers(1, 30),
        form=st.sampled_from(["identity", "diagonal", "full"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_2nn_duplicate_rows_break_ties_to_lower_index(n, d, distinct, form, seed):
@@ -398,6 +404,44 @@ def test_score_buffer_bounded_by_bytes(monkeypatch):
     assert _block_rows(n, 4) == 3
     trip = get_2nn_triplets(data, SimilarityWeights.identity())
     np.testing.assert_array_equal(trip.indices, expect.indices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 4), width=st.one_of(st.integers(1, 31), st.integers(24, 300)),
+       levels=st.integers(1, 6), p_inf=st.sampled_from([0.0, 0.1, 0.5, 0.95]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_top3_candidates_hold_each_rows_top_three(rows, width, levels, p_inf, seed):
+    # few distinct values force ties, and -inf entries may fill whole groups
+    rng = np.random.default_rng(seed)
+    sims = rng.integers(0, levels, (rows, width)).astype(np.float32)
+    sims[rng.random((rows, width)) < p_inf] = -np.inf
+    cols = _top3_candidates(sims)
+    assert cols.shape[0] == rows and cols.shape[1] <= max(width, 31)
+    for row, cand in zip(sims, cols):
+        assert np.unique(cand).size == cand.size
+        assert cand.min() >= 0 and cand.max() < width
+        np.testing.assert_array_equal(np.sort(row[cand])[-3:], np.sort(row)[-3:])
+
+
+def test_2nn_working_set_bounded():
+    # traced peak: a 128-row float32 score block plus three N x d float64
+    # arrays, with all rows distinct and with 1000 copies that send 2000 rows
+    # to the float64 search (one 128-row float64 block at a time)
+    rng = np.random.default_rng(10)
+    n, d = 20_000, 40
+    x = rng.normal(size=(n, d))
+    weights = SimilarityWeights.diagonal(rng.uniform(0.1, 1.0, d))
+    copied = x.copy()
+    copied[-1000:] = x[rng.integers(0, n - 1000, 1000)]
+    for feats in (x, copied):
+        data = tm.Dataset(feats, rng.integers(0, 2, n), 2)
+        tracemalloc.start()
+        try:
+            get_2nn_triplets(data, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * n * 4 + 3 * n * d * 8 + (1 << 20)
 
 
 def test_clusterability_separated_blobs():

@@ -268,6 +268,9 @@ class NoiseRatePair:
     e2: float
 
     def __post_init__(self):
+        for name in ("e1", "e2"):
+            if not np.isfinite(getattr(self, name)):
+                raise DataError(f"noise rate {name} must be finite, got {getattr(self, name)!r}")
         if self.e1 < 0 or self.e2 < 0:
             raise DataError("noise rates must be nonnegative")
         if self.e1 + self.e2 >= 1:

@@ -41,6 +41,10 @@ def train_linear(data_train, data_test, t=None, epochs=500, step_size=0.5, seed=
     which is the same computation with T = I (so the two modes coincide
     exactly at T = I).
     """
+    if not isinstance(epochs, (int, np.integer)) or epochs < 1:
+        raise DataError(f"epochs must be an integer >= 1, got {epochs!r}")
+    if not (np.isfinite(step_size) and step_size > 0):
+        raise DataError(f"step_size must be finite and > 0, got {step_size!r}")
     if data_test.clean_labels is None:
         raise DataError("test dataset must carry clean labels")
     if data_train.d != data_test.d or data_train.k != data_test.k:

@@ -24,6 +24,9 @@ class NoiseScheme:
     seed: int = 0
 
     def validate(self, k):
+        for name in ("e1", "e2", "avg_rate"):
+            if not np.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.kind == "binary":
             if k != 2:
                 raise DataError("binary scheme requires K = 2")
@@ -40,8 +43,8 @@ class NoiseScheme:
 
 def avg_noise_rate_from_r(r, k):
     """Average noise rate e = 1 / (1 + r / sqrt(K-1)) for dominance ratio r."""
-    if r <= 0 or k < 2:
-        raise DataError("need r > 0 and K >= 2")
+    if not np.isfinite(r) or r <= 0 or k < 2:
+        raise DataError(f"need a finite r > 0 and K >= 2, got r={r!r}, K={k!r}")
     return 1.0 / (1.0 + r / np.sqrt(k - 1))
 
 

@@ -1,20 +1,17 @@
 """Weighted (soft) cosine similarity and exact 2-nearest-neighbor retrieval.
 
-The 2-NN search is brute force, O(N^2 d), and its neighbor sets are those of
-float64 scores, exact and deterministic.  Each distinct feature row is
-weighted and normalized once, so all copies of a row share one unit row.  A
-float32 pass scores a block of at most `_CHUNK` query rows against every row
-with one matrix product and masks each row's own entry with -inf.  One
-grouped pass then narrows each row to a few candidate columns that hold its
-top three scores (`_top3_candidates`), and two masked ``argmax`` passes and a
-``max`` over those give the three.  Its first two are kept when both margins
-beat a proven bound on the float32 rounding error (`_score_bound`).  The
-other rows (near ties, and copies, which tie) are searched again in float64
-against the distinct rows only.  Equal float64 similarities break toward the
-lower row index, and copies of a row tie by construction.  Score blocks hold
-at most `_CHUNK` rows and `_BUFFER_BYTES` bytes.  Rows with zero weighted norm
-have no defined similarity; they are left out both as queries and as
-candidates.
+The 2-NN search is brute force over the G distinct rows, O(G^2 d), and its
+neighbor sets are those of float64 scores, exact and deterministic.  The
+copies of one distinct row form a group: the row is weighted and normalized
+once, and its copies share one unit row and one score column.  A float32
+pass scores blocks of at most `_CHUNK` groups against every group; groups
+whose neighbor slots those scores decide beyond a proven bound on the
+float32 rounding error (`_score_bound`, `_sure`) keep them, and the rest
+(near ties) are scored again in float64.  One expansion (`_expand`) then
+maps groups back to rows: equal float64 similarities break toward the lower
+row index, and copies of a row tie by construction.  Score blocks hold at
+most `_CHUNK` rows and `_BUFFER_BYTES` bytes.  Rows with zero weighted norm
+have no defined similarity; they are left out as queries and as candidates.
 """
 
 from dataclasses import dataclass
@@ -203,50 +200,6 @@ def _lowest_members(inverse, groups):
     return low
 
 
-def _exact_2nn(unit, inverse, redo):
-    """Float64 2-NN of the rows `redo`, under the lower-index rule.
-
-    `unit` holds the distinct unit rows and row i is a copy of
-    unit[inverse[i]].  Each distinct query row is scored against the distinct
-    rows only, and two masked ``argmax`` passes over the other groups give
-    the best two, ties going to the lower group and so to the lower lowest
-    row.  A row's neighbors are then the best two of five candidates, by
-    score and then by row: the two lowest other rows of its own group, the two
-    lowest rows of the best other group and the lowest row of the second.
-    Every copy of a row is one column here, so copies tie by construction.
-    """
-    low = _lowest_members(inverse, unit.shape[0])
-    own = inverse[redo]
-    query, at = np.unique(own, return_inverse=True)
-    self_score = np.empty(query.size)
-    best = np.empty((query.size, 2), dtype=np.int64)
-    score = np.empty((query.size, 2))
-    step = _block_rows(unit.shape[0], 8)
-    buf = np.empty((min(step, query.size), unit.shape[0]))
-    for start in range(0, query.size, step):
-        stop = min(start + step, query.size)
-        g = query[start:stop]
-        sims = np.matmul(unit[g], unit.T, out=buf[:stop - start])
-        q = np.arange(stop - start)
-        self_score[start:stop] = sims[q, g]
-        sims[q, g] = -np.inf
-        for k in range(2):
-            best[start:stop, k] = sims.argmax(axis=1)
-            score[start:stop, k] = sims[q, best[start:stop, k]]
-            sims[q, best[start:stop, k]] = -np.inf
-
-    mates = low[own]
-    mates = np.take_along_axis(mates, np.argsort(mates == redo[:, None], axis=1,
-                                                 kind="stable"), axis=1)[:, :2]
-    top, second = best[at, 0], best[at, 1]
-    cand = np.column_stack([mates, low[top, 0], low[top, 1], low[second, 0]])
-    cand_score = np.column_stack([self_score[at], self_score[at], score[at, 0],
-                                  score[at, 0], score[at, 1]])
-    cand_score[cand < 0] = -np.inf
-    order = np.lexsort((cand, -cand_score))[:, :2]
-    return np.take_along_axis(cand, order, axis=1)
-
-
 def _top3_candidates(sims):
     """Columns of each row of `sims` among which lie the row's three largest values.
 
@@ -280,23 +233,93 @@ def _top3_candidates(sims):
     return np.concatenate([members, tail], axis=1)
 
 
+def _best_groups(x, queries, narrow):
+    """Each query group's self score, best two other groups and top three scores.
+
+    Rows of x are the distinct unit rows.  A group's own column gives its self
+    score and is then masked.  Two masked ``argmax`` passes and a ``max`` give
+    the rest: with `narrow` over the columns `_top3_candidates` keeps, else
+    full width, so that ties go to the lower group and so the lower row.
+    """
+    self_score = np.empty(queries.size)
+    best = np.empty((queries.size, 2), dtype=np.int64)
+    top = np.empty((queries.size, 3))
+    step = _block_rows(x.shape[0], x.itemsize)
+    buf = np.empty((min(step, queries.size), x.shape[0]), dtype=x.dtype)
+    for start in range(0, queries.size, step):
+        stop = min(start + step, queries.size)
+        g = queries[start:stop]
+        sims = np.matmul(x[g], x.T, out=buf[:stop - start])
+        q = np.arange(stop - start)
+        self_score[start:stop] = sims[q, g]
+        sims[q, g] = -np.inf
+        cols = _top3_candidates(sims) if narrow else None
+        vals = sims if cols is None else np.take_along_axis(sims, cols, axis=1)
+        for k in range(2):
+            j = vals.argmax(axis=1)
+            best[start:stop, k] = j if cols is None else cols[q, j]
+            top[start:stop, k] = vals[q, j]
+            vals[q, j] = -np.inf
+        top[start:stop, 2] = vals.max(axis=1)
+    return self_score, best, top
+
+
+def _sure(self_score, best, top, counts, margin):
+    """Groups whose scores decide both neighbor slots of every member.
+
+    A member's candidates form entries: its own copies at the self score, with
+    counts - 1 slots; the best other group at top[:, 0], with its size in
+    slots; the second at top[:, 1]; and top[:, 2], which no other group
+    exceeds.  Sorted by score, the first entry fills both neighbor slots if it
+    has two slots, else the first two entries fill one each.  A group is sure
+    when each filling entry beats the next by more than `margin`.
+
+    Sound for float32 scores at margin = 2 * `_score_bound`: each float32
+    score is within the bound of its float64 score, and no group past the
+    entries scores above top[:, 2] in float32 (`_top3_candidates` gives the
+    exact top three).  So in float64 too each filling entry strictly beats
+    every later entry and every other group, and the first beats the second:
+    the same entries fill the slots in the same order, and within an entry
+    the lower-index rule takes the same rows whichever scores feed `_expand`.
+    """
+    score = np.column_stack([np.where(counts > 1, self_score, -np.inf), top])
+    order = np.argsort(-score, axis=1, kind="stable")
+    score = np.take_along_axis(score, order, axis=1)
+    # top is sorted, so the first entry is the own copies or the best group
+    slots = np.where(order[:, 0] == 0, counts - 1, counts[best[:, 0]])
+    with np.errstate(invalid="ignore"):  # -inf - -inf past the last group
+        beats = score[:, :2] - score[:, 1:3] > margin
+    return beats[:, 0] & ((slots > 1) | beats[:, 1])
+
+
+def _expand(inverse, self_score, best, top):
+    """Each row's two neighbors from its group's self score and best two groups.
+
+    Row i is a copy of group inverse[i].  Its neighbors are the best two, by
+    score and then by row, of the three lowest rows of its own group (row i
+    itself masked), the two lowest rows of the best other group and the
+    lowest row of the second.  At least two candidates are other rows with
+    finite scores, so the -inf entries past the last group are never taken.
+    """
+    low = _lowest_members(inverse, self_score.size)
+    cand = np.column_stack([low, low[best[:, 0], :2], low[best[:, 1], :1]])[inverse]
+    score = np.repeat(np.column_stack([self_score, top[:, :2]]), [3, 2, 1], axis=1)[inverse]
+    score[(cand < 0) | (cand == np.arange(inverse.size)[:, None])] = -np.inf
+    order = np.lexsort((cand, -score))[:, :2]
+    return np.take_along_axis(cand, order, axis=1)
+
+
 def get_2nn_triplets(data, weights):
     """Exact 2-NN of every row under soft-cosine distance 1 - Sim_W.
 
-    Returns the noisy-label triplets used by the consensus counter.  Each
-    distinct feature row is weighted and normalized once, so copies of a row
-    share one unit row.  A float32 pass scores each block of at most `_CHUNK`
-    query rows against every row and masks each row's own entry.  One grouped
-    pass (`_top3_candidates`) narrows each row to a few dozen candidate
-    columns that hold its top three scores, and two masked ``argmax`` passes
-    and a ``max`` over those give the three.  Its pair (first, second) is
-    kept when both margins, first - second and second - third, exceed twice
-    `_score_bound`: float64 scores then order the three the same way, and
-    every other row below them.  Every other row, near ties and copies among
-    them, is searched again in float64 by `_exact_2nn`.  Equal float64
-    similarities break toward the lower row index.  Rows with zero weighted
-    norm are excluded as queries and as candidates, so ``triplets.rows``
-    lists the rows that were kept; fewer than 3 kept rows is an error.
+    Returns the noisy-label triplets used by the consensus counter.  A float32
+    pass over the distinct rows (`_best_groups`) gives each group its self
+    score, best two other groups and top three scores.  Groups that `_sure`
+    cannot settle from these, within twice `_score_bound`, are scored again
+    in float64; `_expand` then maps every group back to its rows.  Rows with
+    zero weighted norm are excluded as queries and as candidates, so
+    ``triplets.rows`` lists the rows that were kept; fewer than 3 kept rows
+    is an error.
     """
     x = data.features
     first, inverse = _distinct_rows(x)
@@ -313,36 +336,11 @@ def get_2nn_triplets(data, weights):
     del xw
     inverse = (np.cumsum(keep) - 1)[inverse[rows]]
 
-    n = rows.size
-    x32 = unit.astype(np.float32)
-    if unit.shape[0] < n:
-        x32 = x32[inverse]
-    margin = 2 * _score_bound(unit.shape[1])
-    nearest = np.empty((n, 2), dtype=np.int64)
-    sure = np.empty(n, dtype=bool)
-    step = _block_rows(n, 4)
-    buf = np.empty((min(step, n), n), dtype=np.float32)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        sims = np.matmul(x32[start:stop], x32.T, out=buf[:stop - start])
-        q = np.arange(stop - start)
-        sims[q, q + start] = -np.inf
-        cols = _top3_candidates(sims)
-        vals = np.take_along_axis(sims, cols, axis=1)
-        top = np.empty((3, stop - start))
-        for k in range(2):
-            j = vals.argmax(axis=1)
-            nearest[start:stop, k] = cols[q, j]
-            top[k] = vals[q, j]
-            vals[q, j] = -np.inf
-        top[2] = vals.max(axis=1)
-        sure[start:stop] = (top[0] - top[1] > margin) & (top[1] - top[2] > margin)
-    del buf, sims, x32
+    self_score, best, top = _best_groups(unit.astype(np.float32), np.arange(unit.shape[0]), True)
+    sure = _sure(self_score, best, top, np.bincount(inverse), 2 * _score_bound(unit.shape[1]))
     redo = np.flatnonzero(~sure)
-    if redo.size:
-        nearest[redo] = _exact_2nn(unit, inverse, redo)
-
-    indices = rows[nearest]
+    self_score[redo], best[redo], top[redo] = _best_groups(unit, redo, False)
+    indices = rows[_expand(inverse, self_score, best, top)]
     y = data.noisy_labels
     labels = np.column_stack([y[rows], y[indices[:, 0]], y[indices[:, 1]]])
     return NeighborTriplets(labels, indices, rows)

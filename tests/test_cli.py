@@ -207,6 +207,40 @@ def test_inject_noise_dirichlet_needs_rate(noisy_csv, tmp_path, capsys):
     assert "--e" in err and "--r" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["bound", "--e1", "nan", "--e2", "0.2"], "noise rate e1 must be finite, got nan"),
+    (["bound", "--e1", "0.1", "--e2", "inf"], "noise rate e2 must be finite, got inf"),
+], ids=["e1-nan", "e2-inf"])
+def test_bound_rejects_non_finite_rates(capsys, argv, message):
+    # was: "epsilon": NaN on stdout, which is not JSON, and exit status 0
+    err = _error_of(capsys, argv)
+    assert err.startswith(f"tmest bound: error: {message}")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--scheme", "dirichlet", "--e", "nan"], "avg_rate must be finite, got nan"),
+    (["--scheme", "dirichlet", "--r", "nan"], "need a finite r > 0 and K >= 2, got r=nan"),
+    (["--scheme", "asymmetric", "--e1", "0.1", "--e2", "nan"], "e2 must be finite, got nan"),
+], ids=["e-nan", "r-nan", "e2-nan"])
+def test_inject_noise_rejects_non_finite_rates(noisy_csv, tmp_path, capsys, flags, message):
+    out = tmp_path / "o.csv"
+    err = _error_of(capsys, ["inject-noise", "--input", noisy_csv[0], "--output", str(out),
+                             *flags])
+    assert err.startswith(f"tmest inject-noise: error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--epochs", "0"], "epochs must be an integer >= 1, got 0"),
+    (["--epochs", "-3"], "epochs must be an integer >= 1, got -3"),
+    (["--step-size", "nan"], "step_size must be finite and > 0, got nan"),
+], ids=["epochs-0", "epochs-negative", "step-nan"])
+def test_train_rejects_bad_schedule(noisy_csv, capsys, flags, message):
+    csv_path = noisy_csv[0]
+    err = _error_of(capsys, ["train", "--train", csv_path, "--test", csv_path, *flags])
+    assert err.startswith(f"tmest train: error: {message}")
+
+
 def test_missing_input_file_is_reported(tmp_path, capsys):
     missing = str(tmp_path / "absent.csv")
     err = _error_of(capsys, ["estimate", "--input", missing])

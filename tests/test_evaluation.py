@@ -94,6 +94,21 @@ def test_train_input_checks():
         train_linear(train, other, epochs=5)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"epochs": 0}, "epochs must be an integer >= 1, got 0"),
+    ({"epochs": -3}, "epochs must be an integer >= 1, got -3"),
+    ({"epochs": 2.5}, "epochs must be an integer >= 1, got 2.5"),
+    ({"step_size": np.nan}, "step_size must be finite and > 0, got nan"),
+    ({"step_size": np.inf}, "step_size must be finite and > 0, got inf"),
+    ({"step_size": 0.0}, "step_size must be finite and > 0, got 0.0"),
+    ({"step_size": -0.5}, "step_size must be finite and > 0, got -0.5"),
+])
+def test_train_rejects_bad_schedule(kwargs, message):
+    train, test, _ = _noisy_split(4, 0.1, 0.1, n=40)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        train_linear(train, test, **kwargs)
+
+
 def test_train_degenerate_labels():
     data = two_blob_dataset(5, n=50)
     one_class = replace(data, noisy_labels=np.zeros(50, dtype=int))

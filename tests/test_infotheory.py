@@ -248,6 +248,13 @@ def test_noise_rate_pair_rejects_inestimable_rates(e1, e2):
         NoiseRatePair(e1, e2)
 
 
+@pytest.mark.parametrize("e1,e2,name", [(np.nan, 0.2, "e1"), (0.2, np.nan, "e2"),
+                                         (-np.inf, 0.2, "e1"), (0.1, np.inf, "e2")])
+def test_noise_rate_pair_rejects_non_finite_rates(e1, e2, name):
+    with pytest.raises(DataError, match=f"noise rate {name} must be finite, got (nan|-?inf)"):
+        NoiseRatePair(e1, e2)
+
+
 def test_bias_zero_at_zero_noise():
     rates = NoiseRatePair(0.0, 0.0)
     for beta in np.linspace(0.0, 0.99, 21):

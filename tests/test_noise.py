@@ -41,6 +41,21 @@ def test_avg_noise_rate_from_r():
         avg_noise_rate_from_r(0.0, 2)
 
 
+@pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf])
+def test_avg_noise_rate_from_r_rejects_non_finite_r(r):
+    with pytest.raises(DataError, match=f"need a finite r > 0 and K >= 2, got r={r!r}"):
+        avg_noise_rate_from_r(r, 3)
+
+
+@pytest.mark.parametrize("kind,field,k", [("binary", "e1", 2), ("binary", "e2", 2),
+                                          ("dirichlet", "avg_rate", 3)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_scheme_rejects_non_finite_rates(kind, field, k, value):
+    # before any draw: a NaN rate used to fail only after 100 dirichlet draws
+    with pytest.raises(DataError, match=f"^{field} must be finite, got {value!r}$"):
+        build_transition(NoiseScheme(kind, **{field: value}), k)
+
+
 @pytest.mark.parametrize("k,avg", [(3, 0.2), (5, 0.35), (10, 0.5)])
 def test_dirichlet_rows_valid_and_dominant(k, avg):
     for seed in range(5):

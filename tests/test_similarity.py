@@ -3,7 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tmest as tm
 from tmest.core import DataError
@@ -287,6 +287,9 @@ def _dyadic_case(rng, n, d, distinct, form):
 @given(n=st.integers(3, MANY_ROWS), d=st.integers(4, 8),
        distinct=st.integers(1, 40), form=st.sampled_from(["identity", "diagonal", "full"]),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(n=3, d=4, distinct=1, form="identity", seed=0)
+@example(n=3, d=5, distinct=1, form="diagonal", seed=1)
+@example(n=3, d=6, distinct=1, form="full", seed=2)
 def test_2nn_matches_reference_with_ties(n, d, distinct, form, seed):
     rng = np.random.default_rng(seed)
     x, weights = _dyadic_case(rng, n, d, distinct, form)
@@ -351,10 +354,35 @@ def test_2nn_near_tie_decided_in_float64():
     np.testing.assert_array_equal(trip.indices, _reference_2nn(x, SimilarityWeights.identity()))
 
 
+def test_2nn_second_slot_tie_decided_in_float64():
+    # row 0 has one clear nearest row (5, score 1/2) and an exact tie for the
+    # second slot (rows 2 and 9, score 1/4; dyadic rows, so exact in float32
+    # too).  Among `_top3_candidates`' columns row 9 comes first (it shares
+    # row 5's strided group), so only the margin on the second slot sends the
+    # tie to the float64 pass and the lower-index rule.
+    d = 16
+    x = np.zeros((32, d))
+    x[0, 0] = 1.0
+    x[5, :4] = 1.0
+    x[9] = 1.0
+    x[2] = 1.0
+    x[2, 1::2] = -1.0
+    others = [i for i in range(32) if i not in (0, 2, 5, 9)]
+    for k, i in enumerate(others):
+        x[i, 1 + k % 15] = 1.0 if k < 15 else -1.0
+    data = tm.Dataset(x, np.arange(32) % 2, 2)
+    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    assert trip.indices[0].tolist() == [5, 2]
+    np.testing.assert_array_equal(trip.indices, _reference_2nn(x, SimilarityWeights.identity()))
+
+
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(3, MANY_ROWS), d=st.integers(2, 8), distinct=st.integers(1, 30),
        form=st.sampled_from(["identity", "diagonal", "full"]),
        seed=st.integers(0, 2 ** 32 - 1))
+@example(n=3, d=2, distinct=1, form="identity", seed=0)
+@example(n=3, d=3, distinct=1, form="diagonal", seed=1)
+@example(n=3, d=4, distinct=1, form="full", seed=2)
 def test_2nn_duplicate_rows_break_ties_to_lower_index(n, d, distinct, form, seed):
     # generic floats repeated: every copy of a row must score the same, so a
     # row's neighbors follow a stable sort of similarities computed once per
@@ -366,6 +394,64 @@ def test_2nn_duplicate_rows_break_ties_to_lower_index(n, d, distinct, form, seed
     expect = _stable_top2(_reference_sims(base, weights)[which][:, which])
     trip = get_2nn_triplets(tm.Dataset(base[which], rng.integers(0, 3, n), 3), weights)
     np.testing.assert_array_equal(trip.indices, expect)
+
+
+@pytest.mark.parametrize("sizes,zero", [
+    ((3,), None), ((5,), None),                    # G = 1: every row a copy
+    ((1, 2), None), ((1, 5), None), ((2, 2), None),  # G = 2
+    ((2, 3, 2), 1), ((1, 3, 1), 2),                # G = 3, one group of zero rows
+], ids=["g1-n3", "g1-n5", "g2-1-2", "g2-1-5", "g2-2-2", "g3-zero-2-3-2", "g3-zero-1-3-1"])
+@pytest.mark.parametrize("form", ["identity", "diagonal", "full"])
+@pytest.mark.parametrize("float64_only", [False, True])
+def test_2nn_few_groups(monkeypatch, sizes, zero, form, float64_only):
+    # entries past the last group score -inf in the sure test and the
+    # expansion; with an infinite score bound every group goes to float64
+    if float64_only:
+        monkeypatch.setattr(similarity, "_score_bound", lambda d: np.inf)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        d = 4
+        base = rng.normal(size=(len(sizes), d))
+        if zero is not None:
+            base[zero] = 0.0
+        which = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        weights = _weights_of(form, rng, d)
+        live = np.flatnonzero(base.any(axis=1))
+        keep = np.flatnonzero(np.isin(which, live))
+        groups = np.searchsorted(live, which[keep])
+        expect = keep[_stable_top2(_reference_sims(base[live], weights)[groups][:, groups])]
+        data = tm.Dataset(base[which], rng.integers(0, 2, which.size), 2)
+        trip = get_2nn_triplets(data, weights)
+        np.testing.assert_array_equal(trip.rows, keep)
+        np.testing.assert_array_equal(trip.indices, expect)
+
+
+def test_2nn_searches_distinct_rows_only(monkeypatch):
+    # 20 000 rows drawn from 200 distinct rows: every score block is 200
+    # columns wide, one per distinct row, and copies still tie to the lower row
+    rng = np.random.default_rng(11)
+    n, g, d = 20_000, 200, 8
+    base = rng.normal(size=(g, d))
+    which = rng.integers(0, g, n)
+    widths = []
+
+    def spy(sims):
+        widths.append(sims.shape[1])
+        return _top3_candidates(sims)
+
+    monkeypatch.setattr(similarity, "_top3_candidates", spy)
+    weights = SimilarityWeights.diagonal(rng.uniform(0.1, 1.0, d))
+    trip = get_2nn_triplets(tm.Dataset(base[which], rng.integers(0, 2, n), 2), weights)
+    assert widths and set(widths) == {g}
+    # `_stable_top2` of the N x N similarities, built from the columns that can
+    # hold a row's lowest-index best two: the three lowest rows of each group
+    cols = np.sort(np.concatenate([np.flatnonzero(which == k)[:3] for k in range(g)]))
+    sims = _reference_sims(base, weights)
+    for block in np.array_split(np.arange(n), 10):
+        part = sims[which[block]][:, which[cols]]
+        part[block[:, None] == cols] = -np.inf
+        expect = cols[np.argsort(-part, axis=1, kind="stable")[:, :2]]
+        np.testing.assert_array_equal(trip.indices[block], expect)
 
 
 def test_distinct_rows_exact_under_hash_collisions(monkeypatch):
@@ -404,6 +490,10 @@ def test_score_buffer_bounded_by_bytes(monkeypatch):
     assert _block_rows(n, 4) == 3
     trip = get_2nn_triplets(data, SimilarityWeights.identity())
     np.testing.assert_array_equal(trip.indices, expect.indices)
+    # an infinite score bound sends every group to the float64 pass
+    monkeypatch.setattr(similarity, "_score_bound", lambda d: np.inf)
+    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    np.testing.assert_array_equal(trip.indices, expect.indices)
 
 
 @settings(max_examples=200, deadline=None)
@@ -425,8 +515,7 @@ def test_top3_candidates_hold_each_rows_top_three(rows, width, levels, p_inf, se
 
 def test_2nn_working_set_bounded():
     # traced peak: a 128-row float32 score block plus three N x d float64
-    # arrays, with all rows distinct and with 1000 copies that send 2000 rows
-    # to the float64 search (one 128-row float64 block at a time)
+    # arrays, with all rows distinct and with 1000 copied rows
     rng = np.random.default_rng(10)
     n, d = 20_000, 40
     x = rng.normal(size=(n, d))

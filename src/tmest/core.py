@@ -53,14 +53,24 @@ def _freeze(a):
     return a
 
 
+def _integer(value, name, low=None):
+    """`value` if it is a Python or numpy integer, not a bool, of at least
+    `low`; anything else is an error that names it, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise DataError(f"{name} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def _int_labels(labels, name):
     """Labels as a frozen int64 array; a label that is not a whole number is
-    an error, never truncated."""
+    an error, never truncated.  `name` names the labels in that error."""
     labels = np.asarray(labels)
     whole = labels.dtype.kind in "biu" or (labels.dtype.kind == "f" and np.all(
         np.isfinite(labels) & (labels == np.trunc(labels))))
     if not whole:
-        raise DataError(f"{name} labels must be integers")
+        raise DataError(f"{name} must be integers")
     return _freeze(labels.astype(np.int64))
 
 
@@ -80,9 +90,9 @@ class Dataset:
 
     def __post_init__(self):
         self.features = _freeze(np.asarray(self.features, dtype=np.float64))
-        self.noisy_labels = _int_labels(self.noisy_labels, "noisy")
+        self.noisy_labels = _int_labels(self.noisy_labels, "noisy labels")
         if self.clean_labels is not None:
-            self.clean_labels = _int_labels(self.clean_labels, "clean")
+            self.clean_labels = _int_labels(self.clean_labels, "clean labels")
         if self.features.ndim != 2 or self.features.shape[1] < 1:
             raise DataError("features must be a 2-d matrix with d >= 1")
         if not np.all(np.isfinite(self.features)):
@@ -90,8 +100,7 @@ class Dataset:
         n = self.features.shape[0]
         if n < 3:
             raise DataError(f"need at least 3 rows, got {n}")
-        if self.k < 2:
-            raise DataError(f"class count must be >= 2, got {self.k}")
+        _integer(self.k, "class count k", 2)
         for name, labels in (("noisy", self.noisy_labels), ("clean", self.clean_labels)):
             if labels is None:
                 continue
@@ -202,6 +211,7 @@ class TransitionMatrix:
     p: np.ndarray | None = None
 
     def __post_init__(self):
+        _integer(self.k, "k", 1)
         self.t = _freeze(np.asarray(self.t, dtype=np.float64))
         if self.t.shape != (self.k, self.k):
             raise DataError(f"expected a {self.k}x{self.k} matrix, got {self.t.shape}")
@@ -225,7 +235,7 @@ class TransitionMatrix:
             raise DataError("transition matrix JSON must be an object with keys "
                             f"'k' and 't', got {type(obj).__name__}")
         try:
-            k, t = int(obj["k"]), np.array(obj["t"], dtype=np.float64)
+            k, t = obj["k"], np.array(obj["t"], dtype=np.float64)
             p = None if obj.get("p") is None else np.array(obj["p"], dtype=np.float64)
         except KeyError as exc:
             raise DataError(f"transition matrix JSON lacks key {exc}") from None
@@ -287,8 +297,7 @@ class OptimizerConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise DataError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        _integer(self.max_iters, "max_iters", 1)
         if not (np.isfinite(self.tolerance) and self.tolerance > 0):
             raise DataError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
 
@@ -307,8 +316,8 @@ class EstimatorConfig:
                             f"(choose from {', '.join(VARIANTS)})")
         if self.activation not in ACTIVATIONS:
             raise DataError(f"unknown activation '{self.activation}'")
-        if not isinstance(self.bins, (int, np.integer)) or self.bins < 2:
-            raise DataError(f"bins must be an integer >= 2, got {self.bins!r}")
+        _integer(self.bins, "bins", 2)
+        _integer(self.seed, "seed")
 
 
 # Stage names used to derive independent, reproducible RNG streams from the
@@ -320,7 +329,8 @@ def stage_rng(seed, stage):
     """Deterministic per-stage generator derived from the global seed."""
     if stage not in _STAGES:
         raise ValueError(f"unknown stage '{stage}'")
-    ss = np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, _STAGES.index(stage)])
+    seed = int(_integer(seed, "seed")) & 0xFFFFFFFFFFFFFFFF
+    ss = np.random.SeedSequence([seed, _STAGES.index(stage)])
     return np.random.default_rng(ss)
 
 

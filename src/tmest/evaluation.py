@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, stage_rng
+from .core import DataError, _integer, stage_rng
 
 
 def estimation_error(t_true, t_hat):
@@ -41,8 +41,7 @@ def train_linear(data_train, data_test, t=None, epochs=500, step_size=0.5, seed=
     which is the same computation with T = I (so the two modes coincide
     exactly at T = I).
     """
-    if not isinstance(epochs, (int, np.integer)) or epochs < 1:
-        raise DataError(f"epochs must be an integer >= 1, got {epochs!r}")
+    _integer(epochs, "epochs", 1)
     if not (np.isfinite(step_size) and step_size > 0):
         raise DataError(f"step_size must be finite and > 0, got {step_size!r}")
     if data_test.clean_labels is None:

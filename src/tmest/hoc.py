@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import DataError, TransitionMatrix, _freeze, stage_rng
+from .core import DataError, TransitionMatrix, _freeze, _integer, stage_rng
 
 _NORM_ATOL = 1e-9
 # sym(c2) counts as rank-deficient below this fraction of its top eigenvalue
@@ -33,8 +33,7 @@ class ConsensusStatistics:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise DataError(f"n must be an integer >= 0, got {self.n!r}")
+        _integer(self.n, "n", 0)
         self.c3 = _freeze(np.asarray(self.c3, dtype=np.float64))
         if self.c3.ndim != 3 or self.c3.shape != self.c3.shape[:1] * 3:
             raise DataError(f"c3 must be a K x K x K tensor, got shape {self.c3.shape}")

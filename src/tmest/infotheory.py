@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DataError, _freeze
+from .core import DataError, _freeze, _int_labels, _integer
 from .similarity import SimilarityWeights
 
 WEIGHT_FLOOR = 1e-3   # smallest allowed weight after min-max normalization
@@ -68,8 +68,7 @@ def _divergence(counts, kind):
 
 def _checked(features, labels, bins):
     """Float64 features and int64 labels, after the checks binning needs."""
-    if not isinstance(bins, (int, np.integer)) or bins < 2:
-        raise DataError(f"bins must be an integer >= 2, got {bins!r}")
+    _integer(bins, "bins", 2)
     features, labels = np.asarray(features, dtype=np.float64), np.asarray(labels)
     if features.ndim != 2:
         raise DataError(f"features must be a 2-d array (rows x dims), got {features.ndim}-d")
@@ -81,11 +80,7 @@ def _checked(features, labels, bins):
     finite = np.isfinite(features).all(axis=0)
     if not finite.all():
         raise DataError(f"feature column {np.argmin(finite)} holds a NaN or infinite value")
-    whole = labels.dtype.kind in "biu" or labels.dtype.kind == "f" and bool(
-        np.all(np.isfinite(labels) & (labels == np.round(labels))))
-    if not whole:
-        raise DataError("labels must be integers")
-    labels = labels.astype(np.int64)
+    labels = _int_labels(labels, "labels")
     if labels.min() < 0:
         raise DataError(f"labels must be nonnegative, got {labels.min()}")
     return features, labels

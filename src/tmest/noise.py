@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DataError, TransitionMatrix, stage_rng
+from .core import DataError, NoiseRatePair, TransitionMatrix, stage_rng
 
 JITTER = 0.05
 _MAX_ROW_ATTEMPTS = 100
@@ -30,8 +30,7 @@ class NoiseScheme:
         if self.kind == "binary":
             if k != 2:
                 raise DataError("binary scheme requires K = 2")
-            if self.e1 < 0 or self.e2 < 0 or self.e1 + self.e2 >= 1:
-                raise DataError("binary scheme needs e1, e2 >= 0 and e1 + e2 < 1")
+            NoiseRatePair(self.e1, self.e2)
         elif self.kind == "dirichlet":
             if self.avg_rate + JITTER >= (k - 1) / k:
                 raise DataError("average noise rate too high for diagonal dominance")

@@ -1,17 +1,21 @@
 """Weighted (soft) cosine similarity and exact 2-nearest-neighbor retrieval.
 
-The 2-NN search is brute force over the G distinct rows, O(G^2 d), and its
-neighbor sets are those of float64 scores, exact and deterministic.  The
-copies of one distinct row form a group: the row is weighted and normalized
-once, and its copies share one unit row and one score column.  A float32
-pass scores blocks of at most `_CHUNK` groups against every group; groups
-whose neighbor slots those scores decide beyond a proven bound on the
-float32 rounding error (`_score_bound`, `_sure`) keep them, and the rest
-(near ties) are scored again in float64.  One expansion (`_expand`) then
-maps groups back to rows: equal float64 similarities break toward the lower
-row index, and copies of a row tie by construction.  Score blocks hold at
-most `_CHUNK` rows and `_BUFFER_BYTES` bytes.  Rows with zero weighted norm
+The 2-NN search is brute force over the G distinct unit rows, O(G^2 d), and
+its neighbor sets are those of float64 scores, exact and deterministic.
+Every row is weighted and normalized once.  Rows with zero weighted norm
 have no defined similarity; they are left out as queries and as candidates.
+A copy is a row whose weighted unit row is bitwise equal to another's: an
+exact duplicate, a power-of-two scaling, or a row that differs only on
+zero-weight axes.  Other positive scalings are copies only where the float64
+weighting and normalization round them to the same bits.  The copies of one
+unit row form a group and share one score column.  A float32 pass scores
+blocks of at most `_CHUNK` groups against every group; groups whose neighbor
+slots those scores decide beyond a proven bound on the float32 rounding
+error (`_score_bound`, `_sure`) keep them, and the rest (near ties) are
+scored again in float64.  One expansion (`_expand`) then maps groups back to
+rows: equal float64 similarities break toward the lower row index, and
+copies tie by construction.  Score blocks hold at most `_CHUNK` rows and
+`_BUFFER_BYTES` bytes.
 """
 
 from dataclasses import dataclass
@@ -39,9 +43,12 @@ class SimilarityWeights:
         if self.w.ndim == 1:
             if not np.all(self.w >= 0):
                 raise DataError("diagonal weights must be a nonnegative vector")
-            return
-        if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
+        elif self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
             raise DataError(f"full weights must be a square matrix, got shape {self.w.shape}")
+        if not np.all(np.isfinite(self.w)):
+            raise DataError(f"{self.form} weights must be finite")
+        if self.w.ndim == 1:
+            return
         if np.max(np.abs(self.w - self.w.T)) > 1e-9:
             raise DataError("full weight matrix must be symmetric")
         evals = np.linalg.eigvalsh(self.w)
@@ -73,7 +80,10 @@ def _weighted_rows(features, weights):
     """Rows mapped so that plain inner products realize x^T W x'.
 
     Identity: x.  Diagonal: x * sqrt(w).  Full: x V sqrt(L), where
-    W = V L V^T is the eigendecomposition of the PSD matrix W.
+    W = V L V^T is the eigendecomposition of the PSD matrix W, summed by
+    ``np.einsum`` in one order for every row (a BLAS product may round equal
+    rows differently by their place in the block), so equal rows map to
+    equal bits.
     """
     if weights.w is None:
         return features
@@ -82,16 +92,21 @@ def _weighted_rows(features, weights):
     if weights.w.ndim == 1:
         return features * np.sqrt(weights.w)
     evals, evecs = np.linalg.eigh(weights.w)
-    return features @ (evecs * np.sqrt(np.maximum(evals, 0.0)))
+    return np.einsum("ij,jk->ik", features, evecs * np.sqrt(np.maximum(evals, 0.0)))
 
 
 def soft_cosine(x, x2, weights):
     """Cosine similarity under the quadratic form x^T W x'.
 
-    Equals hard cosine for identity weights; requires both vectors to have
-    strictly positive weighted norm.
+    Equals hard cosine for identity weights; requires two finite vectors of
+    one length, both with strictly positive weighted norm.
     """
-    a, b = _weighted_rows(np.array([x, x2], dtype=np.float64), weights)
+    x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
+    if x.ndim != 1 or x.shape != x2.shape:
+        raise DataError(f"need two vectors of one length, got shapes {x.shape} and {x2.shape}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x2))):
+        raise DataError("soft cosine of a vector with a NaN or infinite entry")
+    a, b = _weighted_rows(np.array([x, x2]), weights)
     n1, n2 = a @ a, b @ b
     if n1 <= 0 or n2 <= 0:
         raise DataError("degenerate vector under W")
@@ -176,12 +191,15 @@ def _distinct_rows(x):
     Returns (first, inverse): the lowest row of each group, in increasing
     order, and the group of each row, so groups are numbered by their lowest
     row.  Rows are grouped by a hash of their bytes with a 1-D ``np.unique``;
-    the groups are then checked bit for bit, and on a hash collision the rows
-    are grouped exactly by ``np.unique(axis=0)``.
+    every other row of a group is then checked bit for bit against its lowest
+    row, and on a hash collision the rows are grouped exactly by
+    ``np.unique(axis=0)``.
     """
     bits = np.ascontiguousarray(x + 0.0).view(np.uint64)
     _, first, inverse = np.unique(_row_hash(bits), return_index=True, return_inverse=True)
-    if not np.array_equal(bits[first[inverse]], bits):
+    lowest = first[inverse]
+    copy = lowest != np.arange(lowest.size)
+    if not np.array_equal(bits[lowest[copy]], bits[copy]):
         _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
@@ -312,31 +330,29 @@ def _expand(inverse, self_score, best, top):
 def get_2nn_triplets(data, weights):
     """Exact 2-NN of every row under soft-cosine distance 1 - Sim_W.
 
-    Returns the noisy-label triplets used by the consensus counter.  A float32
-    pass over the distinct rows (`_best_groups`) gives each group its self
-    score, best two other groups and top three scores.  Groups that `_sure`
-    cannot settle from these, within twice `_score_bound`, are scored again
-    in float64; `_expand` then maps every group back to its rows.  Rows with
-    zero weighted norm are excluded as queries and as candidates, so
+    Returns the noisy-label triplets used by the consensus counter.  Rows
+    with zero weighted norm are excluded as queries and as candidates, so
     ``triplets.rows`` lists the rows that were kept; fewer than 3 kept rows
-    is an error.
+    is an error.  The kept rows are normalized and grouped by their unit
+    rows (`_distinct_rows`).  A float32 pass over the groups (`_best_groups`)
+    gives each its self score, best two other groups and top three scores.
+    Groups that `_sure` cannot settle from these, within twice
+    `_score_bound`, are scored again in float64; `_expand` then maps every
+    group back to its rows.
     """
-    x = data.features
-    first, inverse = _distinct_rows(x)
-    xw = _weighted_rows(x if first.size == x.shape[0] else x[first], weights)
+    xw = _weighted_rows(data.features, weights)
     sq = np.einsum("ij,ij->i", xw, xw)
-    keep = sq > 0
-    rows = np.flatnonzero(keep[inverse])
+    rows = np.flatnonzero(sq > 0)
     if rows.size < 3:
         raise DataError(f"need at least 3 rows with nonzero weighted norm for "
                         f"2-NN triplets, got {rows.size}")
-    if not keep.all():
-        xw, sq = xw[keep], sq[keep]
-    unit = xw / np.sqrt(sq)[:, None]
+    unit = xw[rows]
     del xw
-    inverse = (np.cumsum(keep) - 1)[inverse[rows]]
+    unit /= np.sqrt(sq[rows])[:, None]
+    first, inverse = _distinct_rows(unit)
+    unit = unit[first]
 
-    self_score, best, top = _best_groups(unit.astype(np.float32), np.arange(unit.shape[0]), True)
+    self_score, best, top = _best_groups(unit.astype(np.float32), np.arange(first.size), True)
     sure = _sure(self_score, best, top, np.bincount(inverse), 2 * _score_bound(unit.shape[1]))
     redo = np.flatnonzero(~sure)
     self_score[redo], best[redo], top[redo] = _best_groups(unit, redo, False)

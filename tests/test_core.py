@@ -296,6 +296,30 @@ def test_report_json_has_every_field(tmp_path):
     np.testing.assert_array_equal(back.p, t.p)
 
 
+@pytest.mark.parametrize("k", [2.5, True, "2", None])
+def test_transition_from_json_rejects_non_integer_k(k):
+    with pytest.raises(DataError, match=f"k must be an integer >= 1, got {k!r}"):
+        tm.TransitionMatrix.from_json({"k": k, "t": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+@pytest.mark.parametrize("k", [2.5, True, "3", 3.0])
+def test_dataset_rejects_non_integer_k(k):
+    with pytest.raises(DataError, match=f"class count k must be an integer >= 2, got {k!r}"):
+        tm.Dataset(np.zeros((3, 2)), [0, 1, 0], k)
+
+
+def test_dataset_accepts_numpy_integer_k():
+    assert tm.Dataset(np.zeros((3, 2)), [0, 1, 0], np.int64(3)).k == 3
+
+
+@pytest.mark.parametrize("seed", [1.5, None, "0", False])
+def test_seed_must_be_an_integer(seed):
+    with pytest.raises(DataError, match=f"seed must be an integer, got {seed!r}"):
+        EstimatorConfig(seed=seed)
+    with pytest.raises(DataError, match=f"seed must be an integer, got {seed!r}"):
+        stage_rng(seed, "noise")
+
+
 def test_report_error_range():
     t = tm.validate_transition(np.eye(2))
     with pytest.raises(DataError):
@@ -310,6 +334,7 @@ def test_estimator_config_validation():
     with pytest.raises(DataError, match="bins must be an integer"):
         EstimatorConfig(bins=2.5)
     assert EstimatorConfig(bins=np.int64(4)).bins == 4
+    assert EstimatorConfig(seed=np.int64(-3)).seed == -3
     with pytest.raises(DataError):
         EstimatorConfig(activation="relu")
 
@@ -317,7 +342,7 @@ def test_estimator_config_validation():
 @pytest.mark.parametrize("kwargs", [
     {"tolerance": 0.0}, {"tolerance": -1.0}, {"tolerance": float("nan")},
     {"tolerance": float("inf")}, {"max_iters": -5}, {"max_iters": 0},
-    {"max_iters": 2.5}, {"max_iters": 100.0},
+    {"max_iters": 2.5}, {"max_iters": 100.0}, {"max_iters": True},
 ])
 def test_optimizer_config_validation(kwargs):
     with pytest.raises(DataError):

@@ -121,9 +121,29 @@ def test_weight_form_follows_shape():
         SimilarityWeights(np.ones((2, 2, 2)))
 
 
+@pytest.mark.parametrize("build,w,match", [
+    (SimilarityWeights.diagonal, [1.0, np.inf], "diagonal weights must be finite"),
+    (SimilarityWeights.diagonal, [1.0, np.nan], "diagonal weights must be a nonnegative vector"),
+    (SimilarityWeights.full, [[1.0, np.inf], [np.inf, 1.0]], "full weights must be finite"),
+    (SimilarityWeights.full, [[1.0, np.nan], [np.nan, 1.0]], "full weights must be finite"),
+], ids=["diagonal-inf", "diagonal-nan", "full-inf", "full-nan"])
+def test_non_finite_weights_rejected(build, w, match):
+    with pytest.raises(DataError, match=match):
+        build(w)
+
+
 def test_dimension_mismatch():
     with pytest.raises(DataError):
         soft_cosine(X1, X3, SimilarityWeights.diagonal([1.0, 1.0]))
+    with pytest.raises(DataError, match=r"one length, got shapes \(3,\) and \(2,\)"):
+        soft_cosine(X1, X3[:2], SimilarityWeights.identity())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_soft_cosine_rejects_non_finite_vectors(bad):
+    for x, x2 in ((np.array([1.0, bad, 0.0]), X3), (X1, np.array([bad, 0.0, 1.0]))):
+        with pytest.raises(DataError, match="NaN or infinite"):
+            soft_cosine(x, x2, SimilarityWeights.identity())
 
 
 def _reference_sims(x, weights):
@@ -244,7 +264,20 @@ def test_2nn_zero_weight_excludes_row():
     data = tm.Dataset(x, np.array([0, 0, 1, 1, 0]), 2)
     trip = get_2nn_triplets(data, SimilarityWeights.diagonal([1.0, 0.0]))
     assert trip.rows.tolist() == [0, 1, 3]
-    assert not np.isin(trip.indices, [2, 4]).any()
+    assert trip.indices.tolist() == [[1, 3], [0, 3], [0, 1]]
+    # rows that differ only on a zero-weight axis have one weighted unit row:
+    # they are copies, and tie to the lower row
+    rng = np.random.default_rng(12)
+    n, g = 900, 30
+    base = rng.normal(size=(g, 3))
+    which = rng.integers(0, g, n)
+    x = np.column_stack([base[which], rng.normal(size=n)])
+    w = rng.uniform(0.1, 1.0, 3)
+    expect = _stable_top2(_reference_sims(base, SimilarityWeights.diagonal(w))[which][:, which])
+    trip = get_2nn_triplets(tm.Dataset(x, rng.integers(0, 2, n), 2),
+                            SimilarityWeights.diagonal(np.append(w, 0.0)))
+    np.testing.assert_array_equal(trip.rows, np.arange(n))
+    np.testing.assert_array_equal(trip.indices, expect)
 
 
 def test_2nn_too_few_nondegenerate_rows():
@@ -378,21 +411,30 @@ def test_2nn_second_slot_tie_decided_in_float64():
 
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(3, MANY_ROWS), d=st.integers(2, 8), distinct=st.integers(1, 30),
-       form=st.sampled_from(["identity", "diagonal", "full"]),
+       form=st.sampled_from(["identity", "diagonal", "full"]), scaled=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
-@example(n=3, d=2, distinct=1, form="identity", seed=0)
-@example(n=3, d=3, distinct=1, form="diagonal", seed=1)
-@example(n=3, d=4, distinct=1, form="full", seed=2)
-def test_2nn_duplicate_rows_break_ties_to_lower_index(n, d, distinct, form, seed):
-    # generic floats repeated: every copy of a row must score the same, so a
-    # row's neighbors follow a stable sort of similarities computed once per
-    # pair of distinct rows, and its copies come lowest index first
+@example(n=3, d=2, distinct=1, form="identity", scaled=False, seed=0)
+@example(n=3, d=3, distinct=1, form="diagonal", scaled=False, seed=1)
+@example(n=3, d=4, distinct=1, form="full", scaled=False, seed=2)
+# scaled copies that score one ulp apart when they are scored as separate rows
+@example(n=467, d=4, distinct=29, form="identity", scaled=True, seed=37)
+@example(n=1136, d=8, distinct=29, form="diagonal", scaled=True, seed=264)
+@example(n=837, d=7, distinct=29, form="full", scaled=True, seed=94)
+# exact copies whose full-form weighting by a BLAS product differs in the last bit
+@example(n=66, d=18, distinct=22, form="full", scaled=False, seed=7)
+def test_2nn_duplicate_rows_break_ties_to_lower_index(n, d, distinct, form, scaled, seed):
+    # generic floats repeated, and with `scaled` each copy times a power of
+    # two, which leaves its weighted unit row bitwise unchanged: every copy of
+    # a row must score the same, so a row's neighbors follow a stable sort of
+    # similarities computed once per pair of distinct rows, and its copies
+    # come lowest index first
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(distinct, d))
     which = rng.integers(0, distinct, n)
     weights = _weights_of(form, rng, d)
     expect = _stable_top2(_reference_sims(base, weights)[which][:, which])
-    trip = get_2nn_triplets(tm.Dataset(base[which], rng.integers(0, 3, n), 3), weights)
+    x = base[which] * 2.0 ** rng.integers(-3, 4, (n, 1)) if scaled else base[which]
+    trip = get_2nn_triplets(tm.Dataset(x, rng.integers(0, 3, n), 3), weights)
     np.testing.assert_array_equal(trip.indices, expect)
 
 

@@ -109,15 +109,18 @@ def build_parser():
     p = argparse.ArgumentParser(prog="tmest",
                                 description="Noise transition matrix estimation")
     sub = p.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--input", required=True)
+    data.add_argument("--k", type=int, default=None)
+    mi = argparse.ArgumentParser(add_help=False)
+    mi.add_argument("--bins", type=int, default=EstimatorConfig.bins)
+    mi.add_argument("--activation", default=EstimatorConfig.activation, choices=ACTIVATIONS)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=EstimatorConfig.seed)
 
-    pe = sub.add_parser("estimate", help="run the full estimation pipeline")
-    pe.add_argument("--input", required=True)
+    pe = sub.add_parser("estimate", parents=[data, mi, seed],
+                        help="run the full estimation pipeline")
     pe.add_argument("--variant", default=EstimatorConfig.variant, choices=VARIANTS)
-    pe.add_argument("--bins", type=int, default=EstimatorConfig.bins)
-    pe.add_argument("--activation", default=EstimatorConfig.activation,
-                    choices=ACTIVATIONS)
-    pe.add_argument("--seed", type=int, default=EstimatorConfig.seed)
-    pe.add_argument("--k", type=int, default=None)
     pe.add_argument("--output", default=None)
     pe.add_argument("--true-t", dest="true_t", default=None)
     pe.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters,
@@ -126,14 +129,10 @@ def build_parser():
                     help="EM stops at a log-likelihood gain <= TOLERANCE / N")
     pe.set_defaults(func=_cmd_estimate)
 
-    pm = sub.add_parser("mi", help="per-dimension MI and weights as CSV")
-    pm.add_argument("--input", required=True)
+    pm = sub.add_parser("mi", parents=[data, mi],
+                        help="per-dimension MI and weights as CSV")
     pm.add_argument("--divergence", default=FDivergenceKind.TV.value,
                     choices=[kind.value for kind in FDivergenceKind])
-    pm.add_argument("--bins", type=int, default=EstimatorConfig.bins)
-    pm.add_argument("--activation", default=EstimatorConfig.activation,
-                    choices=ACTIVATIONS)
-    pm.add_argument("--k", type=int, default=None)
     pm.set_defaults(func=_cmd_mi)
 
     pb = sub.add_parser("bound", help="KL order-preservation bounds as JSON")
@@ -143,8 +142,8 @@ def build_parser():
     pb.add_argument("--beta-hi", type=float, default=5 / 6)
     pb.set_defaults(func=_cmd_bound)
 
-    pn = sub.add_parser("inject-noise", help="synthesize noisy labels")
-    pn.add_argument("--input", required=True)
+    pn = sub.add_parser("inject-noise", parents=[data, seed],
+                        help="synthesize noisy labels")
     pn.add_argument("--output", required=True)
     pn.add_argument("--scheme", required=True,
                     choices=["symmetric", "asymmetric", "dirichlet"])
@@ -152,8 +151,6 @@ def build_parser():
     pn.add_argument("--e2", type=float, default=0.0)
     pn.add_argument("--e", type=float, default=None)
     pn.add_argument("--r", type=float, default=None)
-    pn.add_argument("--seed", type=int, default=0)
-    pn.add_argument("--k", type=int, default=None)
     pn.set_defaults(func=_cmd_inject_noise)
 
     pv = sub.add_parser("eval", help="estimation error between matrices")
@@ -161,14 +158,13 @@ def build_parser():
     pv.add_argument("--true", required=True)
     pv.set_defaults(func=_cmd_eval)
 
-    pt = sub.add_parser("train", help="downstream linear-model check")
+    pt = sub.add_parser("train", parents=[seed], help="downstream linear-model check")
     pt.add_argument("--train", required=True)
     pt.add_argument("--test", required=True)
     pt.add_argument("--t", default=None)
     pt.add_argument("--mode", default="plain", choices=["plain", "forward"])
     pt.add_argument("--epochs", type=int, default=500)
     pt.add_argument("--step-size", type=float, default=0.5)
-    pt.add_argument("--seed", type=int, default=0)
     pt.add_argument("--k", type=int, default=None)
     pt.set_defaults(func=_cmd_train)
 

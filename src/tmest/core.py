@@ -131,7 +131,7 @@ def load_dataset(path, schema=None, k=None):
     """
     schema = schema or {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -159,19 +159,19 @@ def load_dataset(path, schema=None, k=None):
 
     fields = [("features", np.float64, (d,)), ("noisy", np.int64)]
     usecols = [pos[col(f"f{i}")] for i in range(d)] + [pos[noisy_col]]
-    if clean_col in pos:
-        fields.append(("clean", np.int64))
-        usecols.append(pos[clean_col])
-    read = dict(delimiter=",", quotechar='"', comments=None, skiprows=1,
-                ndmin=1, encoding="utf-8")
+    for name, column, dtype in (("clean", clean_col, np.int64), ("id", id_col, object)):
+        if column in pos:
+            fields.append((name, dtype))
+            usecols.append(pos[column])
     try:
-        table = np.loadtxt(path, dtype=fields, usecols=usecols, **read)
-        ids = (np.loadtxt(path, dtype=str, usecols=pos[id_col], **read).tolist()
-               if id_col in pos else None)
+        table = np.loadtxt(path, dtype=fields, usecols=usecols, delimiter=",",
+                           quotechar='"', comments=None, skiprows=1, ndmin=1,
+                           encoding="utf-8")
     except ValueError as exc:
         raise DataError(f"{path}: failed to parse: {exc}") from None
     noisy = table["noisy"]
     clean = table["clean"] if clean_col in pos else None
+    ids = table["id"].tolist() if id_col in pos else None
 
     if k is None:
         k = int(noisy.max()) + 1 if clean is None else int(max(noisy.max(), clean.max())) + 1

@@ -48,22 +48,18 @@ def _interior_edges(ordered, bins):
     return np.unique(edges)[1:-1]
 
 
-def equal_frequency_bins(column, bins):
-    """Assign each value to one of <= `bins` quantile bins; ties merge bins."""
-    column = np.asarray(column, dtype=np.float64)
-    if not np.all(np.isfinite(column)):
-        raise DataError("column holds a NaN or infinite value")
-    return np.searchsorted(_interior_edges(np.sort(column), bins), column, side="right")
-
-
 def _divergence(counts, kind):
-    """f-divergence between a joint count table and its marginals' product."""
+    """f-divergence between a joint count table and its marginals' product.
+
+    KL is clamped at 0: on an exactly independent table its sum rounds to
+    about -1e-17.
+    """
     joint = counts / counts.sum()
     prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
     if kind is FDivergenceKind.TV:
         return 0.5 * float(np.abs(joint - prod).sum())
     nz = joint > 0
-    return float(np.sum(joint[nz] * np.log2(joint[nz] / prod[nz])))
+    return max(float(np.sum(joint[nz] * np.log2(joint[nz] / prod[nz]))), 0.0)
 
 
 def _checked(features, labels, bins):
@@ -116,8 +112,7 @@ def estimate_fmi(column, labels, kind=FDivergenceKind.TV, bins=15):
     column = np.asarray(column, dtype=np.float64)
     if column.ndim != 1 or np.shape(labels) != column.shape:
         raise DataError("column and labels must be 1-d and equally long")
-    features, labels = _checked(column[:, None], labels, bins)
-    return _fmi_batch(features, labels, kind, bins)[0]
+    return estimate_fmi_per_dim(column[:, None], labels, kind, bins).per_dim[0]
 
 
 @dataclass
@@ -135,8 +130,8 @@ class MIEstimate:
 
 
 def estimate_fmi_per_dim(features, labels, kind=FDivergenceKind.TV, bins=15):
-    """f-MI of every feature column against the labels, on the binning of
-    `equal_frequency_bins`; columns are binned `_BATCH` at a time."""
+    """f-MI of every feature column against the labels, each on its own
+    equal-frequency bins; columns are binned `_BATCH` at a time."""
     features, labels = _checked(features, labels, bins)
     return MIEstimate([v for start in range(0, features.shape[1], _BATCH)
                        for v in _fmi_batch(features[:, start:start + _BATCH], labels,
@@ -162,14 +157,11 @@ def build_weights(mi, activation="minmax"):
         w = np.ones_like(vals)
     else:
         w = np.maximum(WEIGHT_FLOOR, (vals - lo) / (hi - lo))
-        w = w / w.max()
     return SimilarityWeights.diagonal(w)
 
 
 def _h2(e):
-    """Binary entropy in bits."""
-    if e <= 0 or e >= 1:
-        return 0.0
+    """Binary entropy in bits, for 0 < e < 1."""
     return -e * math.log2(e) - (1 - e) * math.log2(1 - e)
 
 

@@ -51,11 +51,17 @@ class WhiteningTransform:
         return self.eigenvalues.shape[0]
 
     def project(self, x):
-        """Map raw feature rows (…, d) to whitened coordinates (…, r)."""
+        """Map raw feature rows (…, d) to whitened coordinates (…, r).
+
+        The rotation is summed by ``np.einsum`` in one order for every row (a
+        BLAS product may round equal rows differently by their place in the
+        block), so equal rows map to equal bits.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.d:
             raise DataError(f"dimension mismatch: transform expects d={self.d}")
-        return (x - self.mean) @ self.eigenvectors / np.sqrt(self.eigenvalues)
+        return (np.einsum("...j,jk->...k", x - self.mean, self.eigenvectors)
+                / np.sqrt(self.eigenvalues))
 
 
 def fit_whitening(data):
@@ -66,8 +72,6 @@ def fit_whitening(data):
     1/sqrt(lambda) rescaling.
     """
     x = data.features
-    if x.shape[0] < 2:
-        raise DataError("need at least 2 rows to fit a whitening transform")
     mean = x.mean(axis=0)
     xc = x - mean
     cov = xc.T @ xc / x.shape[0]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,22 @@ def test_inject_noise_command(tmp_path, capsys):
     np.testing.assert_allclose(t.t, [[0.7, 0.3], [0.1, 0.9]], atol=1e-12)
     flips = (noisy.noisy_labels != noisy.clean_labels).mean()
     assert 0.05 < flips < 0.35
+
+
+def test_inject_noise_symmetric_without_clean_column(tmp_path, capsys):
+    # the noisy column is taken as the clean labels, and --e1 sets both rates
+    data = two_blob_dataset(5, n=400)
+    src = tmp_path / "labels.csv"
+    tm.save_dataset(replace(data, clean_labels=None), str(src))
+    out = tmp_path / "relabelled.csv"
+    rc = main(["inject-noise", "--input", str(src), "--output", str(out),
+               "--scheme", "symmetric", "--e1", "0.2", "--e2", "0.4", "--seed", "1"])
+    assert rc == 0
+    t = tm.TransitionMatrix.load(str(out) + ".true_t.json")
+    np.testing.assert_allclose(t.t, [[0.8, 0.2], [0.2, 0.8]], atol=1e-12)
+    noisy = tm.load_dataset(str(out))
+    np.testing.assert_array_equal(noisy.clean_labels, data.noisy_labels)
+    assert 0.1 < (noisy.noisy_labels != noisy.clean_labels).mean() < 0.3
 
 
 def test_inject_noise_dirichlet_command(tmp_path, capsys):

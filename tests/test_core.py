@@ -64,6 +64,24 @@ def test_load_rejects_too_few_rows(tmp_csv):
         tm.load_dataset(tmp_csv("small.csv", text))
 
 
+def test_load_rejects_empty_file(tmp_csv):
+    with pytest.raises(DataError, match="empty.csv: empty file"):
+        tm.load_dataset(tmp_csv("empty.csv", ""))
+
+
+@pytest.mark.parametrize("text", [CSV_BASIC, "noisy_label,f0,f1,f2\n0,0.1,0.2,0.3\n"
+                                  "1,1.0,1.1,1.2\n0,-0.5,0.0,0.5\n1,2.0,2.5,3.0\n"],
+                         ids=["feature-first", "label-first"])
+def test_load_accepts_byte_order_mark(tmp_path, text):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    data = tm.load_dataset(str(path))
+    np.testing.assert_array_equal(data.features, [[0.1, 0.2, 0.3], [1.0, 1.1, 1.2],
+                                                  [-0.5, 0.0, 0.5], [2.0, 2.5, 3.0]])
+    assert data.noisy_labels.tolist() == [0, 1, 0, 1]
+
+
 def test_load_rejects_header_only(tmp_csv):
     text = CSV_BASIC.splitlines()[0] + "\n"
     with pytest.raises(DataError, match="no data rows"):
@@ -99,8 +117,8 @@ def test_schema_mapping(tmp_csv):
 
 
 def test_ids_round_trip_as_text(tmp_path):
-    ids = ["a,b", 'say "hi"', "x#1", "", " pad "]
-    data = tm.Dataset(np.arange(10.0).reshape(5, 2), [0, 1, 0, 1, 1], 2, ids=ids)
+    ids = ["a,b", 'say "hi"', "x#1", "", " pad ", "007"]
+    data = tm.Dataset(np.arange(12.0).reshape(6, 2), [0, 1, 0, 1, 1, 0], 2, ids=ids)
     path = str(tmp_path / "ids.csv")
     tm.save_dataset(data, path)
     assert tm.load_dataset(path).ids == ids

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmest.core import DataError, NoiseRatePair
+from tmest.cli import main
+from tmest.core import DataError, Dataset, NoiseRatePair, save_dataset
 from tmest.infotheory import (
     _BATCH,
     FDivergenceKind,
     MIEstimate,
     build_weights,
-    equal_frequency_bins,
     estimate_fmi,
     estimate_fmi_per_dim,
     kl_bias_argmax,
@@ -53,6 +53,30 @@ def test_constant_column_zero_mi():
     assert estimate_fmi(col, y, FDivergenceKind.TV) == 0.0
 
 
+def _independent_category_csv(path):
+    """105 rows: f1 is a category exactly independent of the label
+    (category x label counts [[4, 20, 20], [5, 25, 25], [1, 5, 5]]), f0 the
+    label plus N(0, 0.3^2) noise."""
+    counts = np.array([[4, 20, 20], [5, 25, 25], [1, 5, 5]])
+    cat, y = np.nonzero(counts)
+    cat, y = np.repeat(cat, counts[cat, y]), np.repeat(y, counts[cat, y])
+    f0 = y + 0.3 * np.random.default_rng(0).normal(size=y.size)
+    save_dataset(Dataset(np.column_stack([f0, cat.astype(float)]), y, 3), str(path))
+    return f0, cat.astype(float), y
+
+
+def test_independent_category_has_zero_kl(tmp_path, capsys):
+    # the KL sum of this table rounds to about -1e-17 unless clamped
+    path = tmp_path / "independent.csv"
+    f0, f1, y = _independent_category_csv(path)
+    assert estimate_fmi(f1, y, FDivergenceKind.KL) == 0.0
+    per_dim = estimate_fmi_per_dim(np.column_stack([f0, f1]), y, FDivergenceKind.KL).per_dim
+    assert per_dim[0] > 0 and per_dim[1] == 0.0
+    assert main(["mi", "--input", str(path), "--divergence", "kl"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("1,0.0,")
+    assert main(["estimate", "--input", str(path), "--variant", "x-kl"]) == 0
+
+
 def test_mi_matches_four_cell_hand_count():
     # 8 samples, bins=2 -> joint counts [[3,1],[1,3]]
     col = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
@@ -63,22 +87,6 @@ def test_mi_matches_four_cell_hand_count():
     expect_tv = 0.5 * float(np.abs(joint - prod).sum())
     assert estimate_fmi(col, y, FDivergenceKind.KL, bins=2) == pytest.approx(expect_kl)
     assert estimate_fmi(col, y, FDivergenceKind.TV, bins=2) == pytest.approx(expect_tv)
-
-
-def test_equal_frequency_bins_balanced():
-    rng = np.random.default_rng(1)
-    col = rng.normal(size=1500)
-    b = equal_frequency_bins(col, 15)
-    counts = np.bincount(b, minlength=15)
-    assert counts.min() >= 90 and counts.max() <= 110
-
-
-def test_equal_frequency_bins_heavy_ties():
-    col = np.concatenate([np.zeros(900), np.arange(1, 101, dtype=float)])
-    b = equal_frequency_bins(col, 15)
-    # all the zeros land in one bin; no crash, labels contiguous from 0
-    assert b[:900].max() == b[:900].min() == 0
-    assert b.max() < 15
 
 
 def test_estimate_fmi_input_checks():
@@ -146,6 +154,7 @@ def test_per_dim_bit_identical_to_per_column_reference(k, n):
         np.round(rng.normal(size=n), 1),                      # rounded ties
         -0.0 * np.ones(n),                                    # negative zeros
         rng.permutation(n).astype(float),                     # all distinct
+        np.r_[np.zeros(n - n // 10), np.arange(1.0, n // 10 + 1)],  # heavy ties
     ])
     for kind in FDivergenceKind:
         got = estimate_fmi_per_dim(x, y, kind).per_dim
@@ -153,11 +162,6 @@ def test_per_dim_bit_identical_to_per_column_reference(k, n):
         np.testing.assert_array_equal(got, expect)
         for j in range(x.shape[1]):
             assert estimate_fmi(x[:, j], y, kind) == expect[j]
-    for j in range(x.shape[1]):
-        edges = np.quantile(x[:, j], np.linspace(0.0, 1.0, 16))
-        np.testing.assert_array_equal(equal_frequency_bins(x[:, j], 15),
-                                      np.searchsorted(np.unique(edges)[1:-1], x[:, j],
-                                                      side="right"))
 
 
 def test_per_dim_working_set_bounded():

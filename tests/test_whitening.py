@@ -3,7 +3,9 @@ import pytest
 
 import tmest as tm
 from tmest.core import DataError
-from tmest.whitening import apply_whitening, fit_whitening
+from tmest.infotheory import build_weights, estimate_fmi_per_dim
+from tmest.similarity import get_2nn_triplets
+from tmest.whitening import WhiteningTransform, apply_whitening, fit_whitening
 
 from conftest import exact_cov_features
 
@@ -108,3 +110,38 @@ def test_eigenvector_sign_convention():
     np.testing.assert_array_equal(w1.eigenvectors, w2.eigenvectors)
     peak = np.argmax(np.abs(w1.eigenvectors), axis=0)
     assert np.all(w1.eigenvectors[peak, np.arange(w1.r)] > 0)
+
+
+@pytest.mark.parametrize("mean,vecs,vals,message", [
+    (np.zeros(2), np.eye(3), np.ones(3), "d x r"),
+    (np.zeros(2), np.eye(2), [[1.0], [1.0]], "one eigenvalue per retained direction"),
+    (np.zeros(2), np.eye(2), [1.0, 0.0], "strictly positive"),
+    (np.zeros(2), np.eye(2), [1.0, 2.0], "sorted descending"),
+    (np.zeros(2), [[1.0, 1.0], [0.0, 1.0]], [2.0, 1.0], "orthonormal"),
+], ids=["vector-shape", "value-matrix", "zero-value", "ascending", "not-orthonormal"])
+def test_transform_rejects_inconsistent_parts(mean, vecs, vals, message):
+    with pytest.raises(DataError, match=message):
+        WhiteningTransform(mean, vecs, vals)
+
+
+@pytest.mark.parametrize("seed,n,d,distinct", [(3, 271, 33, 38), (6, 407, 19, 52)])
+def test_whitened_copies_stay_copies(seed, n, d, distinct):
+    # rows drawn from a few distinct rows, on which a BLAS product rounds some
+    # copies differently by their place in the block: whitened copies must
+    # stay bitwise equal, so their a-tv neighbors follow the lower-index rule
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(distinct, d)) * rng.uniform(0.1, 10.0, d)
+    which = rng.integers(0, distinct, n)
+    data = tm.Dataset(base[which], rng.integers(0, 2, n), 2)
+    z = apply_whitening(fit_whitening(data), data).features
+    first = np.unique(which, return_index=True)[1]
+    np.testing.assert_array_equal(z, z[first[which]])
+    weights = build_weights(estimate_fmi_per_dim(z, data.noisy_labels))
+    trip = get_2nn_triplets(tm.Dataset(z, data.noisy_labels, 2), weights)
+    # neighbors from one similarity per pair of distinct rows, stably sorted
+    u = z[first] * np.sqrt(weights.w)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    sims = (u @ u.T)[which][:, which]
+    np.fill_diagonal(sims, -np.inf)
+    np.testing.assert_array_equal(trip.indices,
+                                  np.argsort(-sims, axis=1, kind="stable")[:, :2])

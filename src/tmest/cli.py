@@ -149,8 +149,9 @@ def build_parser():
                     choices=["symmetric", "asymmetric", "dirichlet"])
     pn.add_argument("--e1", type=float, default=0.0)
     pn.add_argument("--e2", type=float, default=0.0)
-    pn.add_argument("--e", type=float, default=None)
-    pn.add_argument("--r", type=float, default=None)
+    rate = pn.add_mutually_exclusive_group()
+    rate.add_argument("--e", type=float, default=None)
+    rate.add_argument("--r", type=float, default=None)
     pn.set_defaults(func=_cmd_inject_noise)
 
     pv = sub.add_parser("eval", help="estimation error between matrices")

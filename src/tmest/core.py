@@ -89,7 +89,10 @@ class Dataset:
     ids: list | None = None
 
     def __post_init__(self):
-        self.features = _freeze(np.asarray(self.features, dtype=np.float64))
+        try:
+            self.features = _freeze(np.asarray(self.features, dtype=np.float64))
+        except (TypeError, ValueError):
+            raise DataError("features must be a numeric matrix") from None
         self.noisy_labels = _int_labels(self.noisy_labels, "noisy labels")
         if self.clean_labels is not None:
             self.clean_labels = _int_labels(self.clean_labels, "clean labels")
@@ -144,7 +147,8 @@ def load_dataset(path, schema=None, k=None):
     def col(name):
         return schema.get(name, name)
 
-    pos = {name: i for i, name in enumerate(header)}
+    pos = {name: i for i, name in enumerate(header)}  # a repeated name: its last place
+    repeated = {name for i, name in enumerate(header) if pos[name] != i}
     noisy_col = col("noisy_label")
     clean_col = col("clean_label")
     id_col = col("id")
@@ -163,6 +167,9 @@ def load_dataset(path, schema=None, k=None):
         if column in pos:
             fields.append((name, dtype))
             usecols.append(pos[column])
+    for i in usecols:
+        if header[i] in repeated:
+            raise DataError(f"{path}: column '{header[i]}' appears more than once")
     try:
         table = np.loadtxt(path, dtype=fields, usecols=usecols, delimiter=",",
                            quotechar='"', comments=None, skiprows=1, ndmin=1,

@@ -49,6 +49,8 @@ def train_linear(data_train, data_test, t=None, epochs=500, step_size=0.5, seed=
     if data_train.d != data_test.d or data_train.k != data_test.k:
         raise DataError("train and test datasets must share d and K")
     k = data_train.k
+    if t is not None and t.k != k:
+        raise DataError(f"transition matrix has K={t.k}, but the data have K={k}")
     mode = "plain" if t is None else "forward"
     tm = np.eye(k) if t is None else np.asarray(t.t)
     y = data_train.noisy_labels

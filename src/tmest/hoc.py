@@ -5,6 +5,7 @@ independent draws through T from a single clean label, so the frequency c3
 of each ordered label triple, and its marginals c1 and c2, are polynomial in
 (T, p):  c1 = p' T,  c2 = T' diag(p) T,  c3 = T' diag(p) TT  (as K x K x K),
 where row i of TT (K x K^2) is t_i (x) t_i.  Only c3 is stored.
+`count_consensus` counts an (M, 3) label array such as 2-NN `graph.labels(y)`.
 `_moments` is the one implementation of this model.  The triplets thus follow
 a tied Dawid-Skene model, and the solver maximizes their likelihood
 sum c3 log m3 by EM from the closed-form spectral solution of the moments and
@@ -16,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import DataError, TransitionMatrix, _freeze, _integer, stage_rng
+from .core import DataError, TransitionMatrix, _freeze, _int_labels, _integer, stage_rng
 
 _NORM_ATOL = 1e-9
 # sym(c2) counts as rank-deficient below this fraction of its top eigenvalue
@@ -55,9 +56,11 @@ class ConsensusStatistics:
         return self.c3.sum(axis=2)
 
 
-def count_consensus(triplets, k):
-    """Empirical frequencies of the (y_n, y_n1, y_n2) triplets."""
-    y = triplets.labels
+def count_consensus(labels, k):
+    """Empirical frequencies of the rows (y_n, y_n1, y_n2) of an (M, 3) label array."""
+    y = _int_labels(labels, "triplet labels")
+    if y.ndim != 2 or y.shape[1] != 3:
+        raise DataError(f"triplet labels must have shape (M, 3), got {y.shape}")
     n = y.shape[0]
     if n == 0:
         raise DataError("no triplets to count")

@@ -10,7 +10,7 @@ replaced here (for example by a tracing wrapper) without touching its module.
 import time
 from dataclasses import asdict
 
-from .core import VARIANTS, Report
+from .core import VARIANTS, DataError, Report
 from .evaluation import estimation_error
 from .hoc import count_consensus, solve_transition
 from .infotheory import FDivergenceKind, estimate_fmi_per_dim, build_weights
@@ -24,6 +24,8 @@ def estimate(data, config, true_t=None):
     `timings` holds the seconds of each stage: whitening, weights,
     neighbors, count and solve.
     """
+    if true_t is not None and true_t.k != data.k:
+        raise DataError(f"true_t has K={true_t.k}, but the data have K={data.k}")
     whiten, divergence = VARIANTS[config.variant]
     timings, clock = {}, [time.perf_counter()]
 
@@ -40,9 +42,9 @@ def estimate(data, config, true_t=None):
                                   FDivergenceKind(divergence), config.bins)
         weights = build_weights(mi, config.activation)
     lap("weights")
-    triplets = get_2nn_triplets(work, weights or SimilarityWeights.identity())
+    graph = get_2nn_triplets(work, weights or SimilarityWeights.identity())
     lap("neighbors")
-    stats = count_consensus(triplets, data.k)
+    stats = count_consensus(graph.labels(data.noisy_labels), data.k)
     lap("count")
     solution = solve_transition(stats, data.k, config.optimizer, seed=config.seed)
     lap("solve")
@@ -55,5 +57,5 @@ def estimate(data, config, true_t=None):
         converged=solution.converged,
         config_echo=asdict(config),
         timings=timings,
-        excluded_rows=data.n - triplets.n,
+        excluded_rows=data.n - graph.rows.size,
     )

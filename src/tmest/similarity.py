@@ -15,14 +15,15 @@ error (`_score_bound`, `_sure`) keep them, and the rest (near ties) are
 scored again in float64.  One expansion (`_expand`) then maps groups back to
 rows: equal float64 similarities break toward the lower row index, and
 copies tie by construction.  Score blocks hold at most `_CHUNK` rows and
-`_BUFFER_BYTES` bytes.
+`_BUFFER_BYTES` bytes.  The search returns a graph of row ids that holds no
+labels; `NeighborTriplets.labels(y)` reads any label vector through it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _freeze
+from .core import DataError, _freeze, _int_labels
 
 _CHUNK = 128                # most query rows per score block
 _GROUPS = 8                 # members of each column group in `_top3_candidates`
@@ -115,29 +116,26 @@ def soft_cosine(x, x2, weights):
 
 @dataclass
 class NeighborTriplets:
-    """For each query row: its noisy label and those of its two nearest rows."""
+    """A 2-NN graph: each query row's id and the ids of its two nearest rows."""
 
-    labels: np.ndarray      # (M, 3) int: (y_n, y_n1, y_n2)
+    rows: np.ndarray        # (M,) int: query row ids
     indices: np.ndarray     # (M, 2) int: row ids of the two neighbors
-    rows: np.ndarray | None = None  # (M,) int: query row ids; default 0..M-1
 
     def __post_init__(self):
-        self.labels = _freeze(np.asarray(self.labels, dtype=np.int64))
-        self.indices = _freeze(np.asarray(self.indices, dtype=np.int64))
-        n = self.labels.shape[0]
-        if self.rows is None:
-            self.rows = np.arange(n)
-        self.rows = _freeze(np.asarray(self.rows, dtype=np.int64))
-        if self.labels.shape != (n, 3) or self.indices.shape != (n, 2) \
-                or self.rows.shape != (n,):
-            raise DataError("need one (label triple, index pair, row id) per row")
-        if np.any(self.indices[:, 0] == self.rows) or np.any(self.indices[:, 1] == self.rows) \
+        self.rows = _int_labels(self.rows, "row ids")
+        self.indices = _int_labels(self.indices, "neighbor indices")
+        if self.rows.ndim != 1 or self.indices.shape != (self.rows.size, 2):
+            raise DataError("need one (row id, index pair) per query row")
+        if np.any(self.indices == self.rows[:, None]) \
                 or np.any(self.indices[:, 0] == self.indices[:, 1]):
             raise DataError("neighbor indices must be distinct from the row and each other")
 
-    @property
-    def n(self):
-        return self.labels.shape[0]
+    def labels(self, y):
+        """(M, 3) labels (y_n, y_n1, y_n2) of each query row and its neighbors, read from y."""
+        y, ids = np.asarray(y), np.column_stack([self.rows, self.indices])
+        if y.ndim != 1 or (ids.size and (ids.min() < 0 or ids.max() >= y.size)):
+            raise DataError(f"need one label per row id of the graph, got shape {y.shape}")
+        return y[ids]
 
 
 def _block_rows(width, itemsize):
@@ -330,15 +328,15 @@ def _expand(inverse, self_score, best, top):
 def get_2nn_triplets(data, weights):
     """Exact 2-NN of every row under soft-cosine distance 1 - Sim_W.
 
-    Returns the noisy-label triplets used by the consensus counter.  Rows
-    with zero weighted norm are excluded as queries and as candidates, so
-    ``triplets.rows`` lists the rows that were kept; fewer than 3 kept rows
-    is an error.  The kept rows are normalized and grouped by their unit
-    rows (`_distinct_rows`).  A float32 pass over the groups (`_best_groups`)
-    gives each its self score, best two other groups and top three scores.
-    Groups that `_sure` cannot settle from these, within twice
-    `_score_bound`, are scored again in float64; `_expand` then maps every
-    group back to its rows.
+    Returns the neighbor graph of row ids; ``graph.labels(y)`` reads any
+    label vector through it.  Rows with zero weighted norm are excluded as
+    queries and as candidates, so ``graph.rows`` lists the rows that were
+    kept; fewer than 3 kept rows is an error.  The kept rows are normalized
+    and grouped by their unit rows (`_distinct_rows`).  A float32 pass over
+    the groups (`_best_groups`) gives each its self score, best two other
+    groups and top three scores.  Groups that `_sure` cannot settle from
+    these, within twice `_score_bound`, are scored again in float64;
+    `_expand` then maps every group back to its rows.
     """
     xw = _weighted_rows(data.features, weights)
     sq = np.einsum("ij,ij->i", xw, xw)
@@ -356,19 +354,12 @@ def get_2nn_triplets(data, weights):
     sure = _sure(self_score, best, top, np.bincount(inverse), 2 * _score_bound(unit.shape[1]))
     redo = np.flatnonzero(~sure)
     self_score[redo], best[redo], top[redo] = _best_groups(unit, redo, False)
-    indices = rows[_expand(inverse, self_score, best, top)]
-    y = data.noisy_labels
-    labels = np.column_stack([y[rows], y[indices[:, 0]], y[indices[:, 1]]])
-    return NeighborTriplets(labels, indices, rows)
+    return NeighborTriplets(rows, rows[_expand(inverse, self_score, best, top)])
 
 
 def clusterability_rate(data, weights):
     """Fraction of query rows whose two nearest neighbors share the row's clean label."""
     if data.clean_labels is None:
         raise DataError("clusterability requires clean labels")
-    trip = get_2nn_triplets(data, weights)
-    c = data.clean_labels
-    own = c[trip.rows]
-    ok = (c[trip.indices[:, 0]] == own) & (c[trip.indices[:, 1]] == own)
-    return float(ok.mean())
-
+    c = get_2nn_triplets(data, weights).labels(data.clean_labels)
+    return float(((c[:, 1] == c[:, 0]) & (c[:, 2] == c[:, 0])).mean())

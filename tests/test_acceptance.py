@@ -19,7 +19,7 @@ from tmest.infotheory import (FDivergenceKind, estimate_fmi,
                               practical_gap)
 from tmest.noise import NoiseScheme, build_transition, inject_noise
 from tmest.pipeline import estimate
-from tmest.similarity import NeighborTriplets, SimilarityWeights, soft_cosine
+from tmest.similarity import SimilarityWeights, soft_cosine
 
 from conftest import binary_noisy_labels, two_blob_dataset
 
@@ -121,9 +121,7 @@ def test_criterion_06_hoc_oracle_recovery(capsys):
     u = rng.random((500_000, 3))
     cum = np.cumsum(t_mc.t, axis=1)
     labels = (u[..., None] > cum[clean][:, None, :]).sum(axis=2)
-    idx = np.column_stack([(np.arange(500_000) + 1) % 500_000,
-                           (np.arange(500_000) + 2) % 500_000])
-    emp = count_consensus(NeighborTriplets(labels, idx), 2)
+    emp = count_consensus(labels, 2)
     exact = model_consensus(t_mc, p_mc)
     mc_dev = max(np.abs(emp.c1 - exact.c1).max(), np.abs(emp.c2 - exact.c2).max(),
                  np.abs(emp.c3 - exact.c3).max())

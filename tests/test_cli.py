@@ -194,6 +194,16 @@ def test_train_forward_requires_t(noisy_csv, tmp_path, capsys):
     assert err.startswith("tmest train: error: forward mode requires --t")
 
 
+def test_train_rejects_matrix_of_other_size(noisy_csv, tmp_path, capsys):
+    csv_path = noisy_csv[0]
+    t_path = str(tmp_path / "t3.json")
+    tm.save_json(tm.validate_transition(np.eye(3)), t_path)
+    err = _error_of(capsys, ["train", "--train", csv_path, "--test", csv_path,
+                             "--mode", "forward", "--t", t_path, "--epochs", "5"])
+    assert err.startswith("tmest train: error: transition matrix has K=3, "
+                          "but the data have K=2")
+
+
 def test_estimate_rejects_bad_tolerance(noisy_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--input", noisy_csv[0], "--tolerance", "-1"])
@@ -222,6 +232,15 @@ def test_inject_noise_dirichlet_needs_rate(noisy_csv, tmp_path, capsys):
                              "--output", str(tmp_path / "o.csv"), "--scheme", "dirichlet"])
     assert "tmest inject-noise: error:" in err
     assert "--e" in err and "--r" in err
+
+
+def test_inject_noise_rejects_both_rates(noisy_csv, tmp_path, capsys):
+    # --r used to be ignored silently when --e was given
+    err = _error_of(capsys, ["inject-noise", "--input", noisy_csv[0],
+                             "--output", str(tmp_path / "o.csv"), "--scheme", "dirichlet",
+                             "--e", "0.2", "--r", "0.5"])
+    assert "argument --r: not allowed with argument --e" in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -41,6 +41,25 @@ def test_load_rejects_missing_column(tmp_csv):
         tm.load_dataset(path)
 
 
+@pytest.mark.parametrize("header,column", [
+    ("f0,f0,noisy_label", "f0"),
+    ("f0,noisy_label,noisy_label", "noisy_label"),
+    ("f0,noisy_label,clean_label,clean_label", "clean_label"),
+    ("f0,noisy_label,id,id", "id"),
+])
+def test_load_rejects_repeated_column(tmp_csv, header, column):
+    width = header.count(",") + 1
+    body = "".join(",".join([str(i % 2)] * width) + "\n" for i in range(3))
+    path = tmp_csv("dup.csv", header + "\n" + body)
+    with pytest.raises(DataError, match=f"dup.csv: column '{column}' appears more than once"):
+        tm.load_dataset(path)
+
+
+def test_load_ignores_repeated_unread_column(tmp_csv):
+    data = tm.load_dataset(tmp_csv("d.csv", "note,f0,note,noisy_label\na,1,b,0\nc,2,d,1\ne,3,f,0\n"))
+    assert data.features.ravel().tolist() == [1.0, 2.0, 3.0]
+
+
 @pytest.mark.parametrize("late", [False, True], ids=["in-header", "past-first-read"])
 def test_load_rejects_non_utf8_csv(tmp_path, late):
     # a Latin-1 \xe9 either in the header or far past the first decoded chunk
@@ -204,6 +223,13 @@ def test_dataset_rejects_non_integer_labels(field, labels):
     noisy, clean = (labels, good) if field == "noisy" else (good, labels)
     with pytest.raises(DataError, match=f"{field} labels must be integers"):
         tm.Dataset(np.zeros((3, 2)), noisy, 2, clean_labels=clean)
+
+
+@pytest.mark.parametrize("features", [[["a"], ["b"], ["c"]], [[1.0], ["x"], [2.0]],
+                                      [[1.0, 2.0], [3.0], [4.0, 5.0]]])
+def test_dataset_rejects_non_numeric_features(features):
+    with pytest.raises(DataError, match="features must be a numeric matrix"):
+        tm.Dataset(features, [0, 1, 0], 2)
 
 
 def test_dataset_accepts_whole_number_labels():

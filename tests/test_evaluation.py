@@ -92,6 +92,8 @@ def test_train_input_checks():
                        clean_labels=rng.integers(0, 2, 40))
     with pytest.raises(DataError):
         train_linear(train, other, epochs=5)
+    with pytest.raises(DataError, match="transition matrix has K=3, but the data have K=2"):
+        train_linear(train, test, t=tm.validate_transition(np.eye(3)), epochs=5)
 
 
 @pytest.mark.parametrize("kwargs,message", [

@@ -21,14 +21,7 @@ from tmest.hoc import (
     solve_transition,
 )
 from tmest.noise import NoiseScheme, build_transition
-from tmest.similarity import NeighborTriplets
-
-
-def _triplets(labels):
-    labels = np.asarray(labels)
-    n = labels.shape[0]
-    idx = np.column_stack([(np.arange(n) + 1) % n, (np.arange(n) + 2) % n])
-    return NeighborTriplets(labels, idx)
+from tmest.similarity import SimilarityWeights, get_2nn_triplets
 
 
 def _sampled_stats(t, p, n, seed):
@@ -37,12 +30,12 @@ def _sampled_stats(t, p, n, seed):
     clean = rng.choice(t.k, size=n, p=p)
     cum = np.cumsum(t.t, axis=1)
     labels = (rng.random((n, 3))[..., None] > cum[clean][:, None, :]).sum(axis=2)
-    return count_consensus(_triplets(np.minimum(labels, t.k - 1)), t.k)
+    return count_consensus(np.minimum(labels, t.k - 1), t.k)
 
 
 def test_count_consensus_hand_case():
     labels = np.array([[0, 0, 1], [0, 1, 0], [1, 1, 1], [0, 0, 0]])
-    stats = count_consensus(_triplets(labels), 2)
+    stats = count_consensus(labels, 2)
     np.testing.assert_allclose(stats.c1, [0.75, 0.25])
     np.testing.assert_allclose(stats.c2, [[0.5, 0.25], [0.0, 0.25]])
     assert stats.c3[0, 0, 1] == 0.25
@@ -55,7 +48,7 @@ def test_count_consensus_hand_case():
 def test_count_consensus_normalization():
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 3, (500, 3))
-    stats = count_consensus(_triplets(labels), 3)
+    stats = count_consensus(labels, 3)
     assert stats.c1.sum() == pytest.approx(1.0, abs=1e-12)
     assert stats.c2.sum() == pytest.approx(1.0, abs=1e-12)
     assert stats.c3.sum() == pytest.approx(1.0, abs=1e-12)
@@ -65,8 +58,20 @@ def test_count_consensus_normalization():
 
 
 def test_count_consensus_label_out_of_range():
-    with pytest.raises(DataError):
-        count_consensus(_triplets(np.array([[0, 0, 2], [0, 1, 0], [1, 0, 1]])), 2)
+    for bad in (2, -1):
+        with pytest.raises(DataError, match="out of range"):
+            count_consensus(np.array([[0, 0, bad], [0, 1, 0], [1, 0, 1]]), 2)
+
+
+@pytest.mark.parametrize("labels,message", [
+    ([[0.5, 0, 1], [0, 1, 0], [1, 0, 1]], "triplet labels must be integers"),  # not 0
+    (np.zeros((4, 2), dtype=int), r"must have shape \(M, 3\), got \(4, 2\)"),
+    (np.zeros(12, dtype=int), r"must have shape \(M, 3\), got \(12,\)"),
+    (np.zeros((2, 2, 3), dtype=int), r"must have shape \(M, 3\), got \(2, 2, 3\)"),
+], ids=["fraction", "pairs", "flat", "3-d"])
+def test_count_consensus_rejects_bad_labels(labels, message):
+    with pytest.raises(DataError, match=message):
+        count_consensus(labels, 2)
 
 
 def test_model_consensus_symmetric_hand_values():
@@ -137,9 +142,8 @@ def test_consensus_statistics_invariants():
 
 
 def test_count_consensus_rejects_zero_triplets():
-    empty = NeighborTriplets(np.zeros((0, 3), dtype=np.int64), np.zeros((0, 2), dtype=np.int64))
     with pytest.raises(DataError, match="no triplets"):
-        count_consensus(empty, 3)
+        count_consensus(np.zeros((0, 3), dtype=np.int64), 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -155,11 +159,38 @@ def test_count_consensus_matches_reference(k, data):
     singles, pairs = np.zeros(k), np.zeros((k, k))
     np.add.at(singles, labels[:, 0], 1)
     np.add.at(pairs, (labels[:, 0], labels[:, 1]), 1)
-    stats = count_consensus(_triplets(labels), k)
+    stats = count_consensus(labels, k)
     assert stats.n == n and stats.k == k
     np.testing.assert_array_equal(stats.c3, ref / n)  # the division count_consensus makes
     np.testing.assert_allclose(stats.c1, singles / n, rtol=0, atol=1e-15)
     np.testing.assert_allclose(stats.c2, pairs / n, rtol=0, atol=1e-15)
+
+
+def _fixed_graph():
+    """One 2-NN graph whose row ids skip two zero rows, so rows != 0..M-1."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(150, 4))
+    x[[3, 70]] = 0.0
+    return get_2nn_triplets(tm.Dataset(x, np.zeros(150, dtype=int), 2),
+                            SimilarityWeights.identity())
+
+
+_GRAPH = _fixed_graph()
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.sampled_from([2, 3, 10]),
+       seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=2, max_size=4))
+def test_count_consensus_recounts_labels_on_fixed_graph(k, seeds):
+    # redrawn labels are recounted on one graph without searching again
+    rows, (n1, n2) = _GRAPH.rows, _GRAPH.indices.T
+    for seed in seeds:
+        y = np.random.default_rng(seed).integers(0, k, 150)
+        ref = np.zeros((k, k, k))
+        np.add.at(ref, (y[rows], y[n1], y[n2]), 1)
+        stats = count_consensus(_GRAPH.labels(y), k)
+        assert stats.n == rows.size == 148
+        np.testing.assert_array_equal(stats.c3, ref / stats.n)
 
 
 def _kl(stats, t, p):
@@ -342,7 +373,7 @@ def test_solver_deterministic():
 def test_solver_rows_sum_to_one():
     rng = np.random.default_rng(2)
     labels = rng.integers(0, 3, (2000, 3))
-    stats = count_consensus(_triplets(labels), 3)
+    stats = count_consensus(labels, 3)
     sol = solve_transition(stats, 3, OptimizerConfig(), seed=3)
     np.testing.assert_allclose(sol.t.t.sum(axis=1), np.ones(3), atol=1e-9)
     assert sol.t.p.sum() == pytest.approx(1.0, abs=1e-9)

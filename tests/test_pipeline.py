@@ -126,6 +126,20 @@ def test_whitened_variants_invariant_to_shift(seed):
         _assert_same_estimate(estimate(shifted, config), estimate(data, config))
 
 
+def test_true_t_size_checked_before_any_stage(monkeypatch):
+    data, _ = _noisy_blobs(3, n=300)
+    three = build_transition(NoiseScheme("dirichlet", avg_rate=0.2, seed=0), 3)
+
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran before true_t was checked")
+
+    for name in ("fit_whitening", "apply_whitening", "estimate_fmi_per_dim",
+                 "build_weights", "get_2nn_triplets", "count_consensus", "solve_transition"):
+        monkeypatch.setattr(f"tmest.pipeline.{name}", stage)
+    with pytest.raises(DataError, match="true_t has K=3, but the data have K=2"):
+        estimate(data, EstimatorConfig(variant="a-tv"), true_t=three)
+
+
 def test_error_is_none_without_truth():
     data, _ = _noisy_blobs(3, n=800)
     report = estimate(data, EstimatorConfig(variant="plain-hoc"))

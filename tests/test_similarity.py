@@ -180,9 +180,9 @@ def test_2nn_matches_reference(seed, n, d):
                     SimilarityWeights.diagonal(rng.uniform(0.1, 1.0, d))):
         trip = get_2nn_triplets(data, weights)
         np.testing.assert_array_equal(trip.indices, _reference_2nn(x, weights))
-        np.testing.assert_array_equal(trip.labels[:, 0], data.noisy_labels)
-        np.testing.assert_array_equal(trip.labels[:, 1],
-                                      data.noisy_labels[trip.indices[:, 0]])
+        labels = trip.labels(data.noisy_labels)
+        np.testing.assert_array_equal(labels[:, 0], data.noisy_labels)
+        np.testing.assert_array_equal(labels[:, 1], data.noisy_labels[trip.indices[:, 0]])
 
 
 def test_2nn_full_weight_matches_reference():
@@ -218,18 +218,45 @@ def test_2nn_small_n_edge():
     data = tm.Dataset(x, np.array([0, 0, 1]), 2)
     trip = get_2nn_triplets(data, SimilarityWeights.identity())
     assert trip.indices[0].tolist() == [1, 2]
-    assert trip.labels[0].tolist() == [0, 0, 1]
+    assert trip.labels(data.noisy_labels)[0].tolist() == [0, 0, 1]
 
 
 def test_neighbor_triplets_distinctness():
     with pytest.raises(DataError, match="distinct"):
-        NeighborTriplets(np.zeros((3, 3)), np.array([[0, 1], [0, 2], [0, 1]]))
+        NeighborTriplets([0, 1, 2], np.array([[0, 1], [0, 2], [0, 1]]))
     with pytest.raises(DataError, match="distinct"):
-        NeighborTriplets(np.zeros((3, 3)), np.array([[1, 1], [0, 2], [0, 1]]))
+        NeighborTriplets([0, 1, 2], np.array([[1, 1], [0, 2], [0, 1]]))
     # distinctness is checked against the query row ids, not positions
-    NeighborTriplets(np.zeros((2, 3)), np.array([[0, 3], [3, 4]]), rows=[2, 0])
+    NeighborTriplets([2, 0], np.array([[0, 3], [3, 4]]))
     with pytest.raises(DataError, match="distinct"):
-        NeighborTriplets(np.zeros((2, 3)), np.array([[0, 3], [1, 4]]), rows=[3, 0])
+        NeighborTriplets([3, 0], np.array([[0, 3], [1, 4]]))
+
+
+def test_neighbor_triplets_hold_a_graph_only():
+    assert [f.name for f in fields(NeighborTriplets)] == ["rows", "indices"]
+    with pytest.raises(TypeError):
+        NeighborTriplets(np.array([[1, 2], [2, 0], [0, 1]]))  # rows have no default
+    for rows, indices in (([0, 1], [[1, 2], [2, 0], [0, 1]]), ([[0], [1]], [[1, 2], [2, 0]]),
+                          ([0, 1], [[1, 2, 3], [2, 0, 3]])):
+        with pytest.raises(DataError, match="one \\(row id, index pair\\) per query row"):
+            NeighborTriplets(rows, indices)
+    # ids that are not whole numbers are an error, never truncated
+    with pytest.raises(DataError, match="row ids must be integers"):
+        NeighborTriplets([0.7, 1.2], [[1, 2], [2, 0]])
+    with pytest.raises(DataError, match="neighbor indices must be integers"):
+        NeighborTriplets([0, 1], [[1.9, 2.5], [2, 0]])
+
+
+def test_neighbor_triplets_read_labels_through_the_graph():
+    graph = NeighborTriplets([2, 0], [[0, 3], [3, 4]])
+    y = np.array([10, 11, 12, 13, 14])
+    np.testing.assert_array_equal(graph.labels(y), [[12, 10, 13], [10, 13, 14]])
+    # the same graph reads any label vector, floats included, unchanged
+    np.testing.assert_array_equal(graph.labels(y / 2), [[6.0, 5.0, 6.5], [5.0, 6.5, 7.0]])
+    for bad, labels in ((graph, y[:, None]), (graph, y[:4]),
+                        (NeighborTriplets([-1, 0], [[0, 3], [3, 4]]), y)):
+        with pytest.raises(DataError, match="need one label per row id of the graph"):
+            bad.labels(labels)
 
 
 def _weights_of(form, rng, d):
@@ -253,9 +280,9 @@ def test_2nn_excludes_zero_norm_rows():
         np.testing.assert_array_equal(trip.rows, keep)
         np.testing.assert_array_equal(trip.indices,
                                       keep[_reference_2nn(x[keep], weights)])
-        np.testing.assert_array_equal(trip.labels[:, 0], data.noisy_labels[keep])
-        np.testing.assert_array_equal(trip.labels[:, 2],
-                                      data.noisy_labels[trip.indices[:, 1]])
+        labels = trip.labels(data.noisy_labels)
+        np.testing.assert_array_equal(labels[:, 0], data.noisy_labels[keep])
+        np.testing.assert_array_equal(labels[:, 2], data.noisy_labels[trip.indices[:, 1]])
 
 
 def test_2nn_zero_weight_excludes_row():
@@ -345,7 +372,7 @@ def test_2nn_permutation_equivariant(n, d, form, seed):
     base = get_2nn_triplets(tm.Dataset(x, y, 3), weights)
     moved = get_2nn_triplets(tm.Dataset(x[perm], y[perm], 3), weights)
     np.testing.assert_array_equal(perm[moved.indices], base.indices[perm])
-    np.testing.assert_array_equal(moved.labels, base.labels[perm])
+    np.testing.assert_array_equal(moved.labels(y[perm]), base.labels(y)[perm])
 
 
 def _unit(m):

@@ -1,7 +1,11 @@
 """Shared data model: datasets, transition matrices, configuration, reports.
 
-All container types make their numpy buffers read-only after validation, so
-no later in-place write can break an invariant `__post_init__` has checked.
+Every float a public function or container takes enters through `_real`
+(scalars) or `_reals` (arrays): text, None and NaN or infinite values are a
+`DataError` that names the argument, and for an array the index of its first
+non-finite entry.  Containers keep read-only buffers, so no later in-place
+write can break an invariant `__post_init__` has checked; a writeable input
+array is copied once, never frozen under its owner.
 """
 
 import csv
@@ -63,6 +67,39 @@ def _integer(value, name, low=None):
     return value
 
 
+def _real(value, name, above=None):
+    """`value` as a float if it is a finite Python or numpy real, not a bool,
+    above `above`; anything else is an error that names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not np.isfinite(value) or (above is not None and value <= above):
+        bound = "" if above is None else f" and > {above}"
+        raise DataError(f"{name} must be finite{bound}, got {value!r}")
+    return float(value)
+
+
+def _reals(values, name, frozen=True):
+    """`values` as a C-ordered float64 array of finite entries; text, None,
+    ragged nesting and NaN or inf are errors that name it (and the first bad
+    index).  Frozen, for a container to keep, it is read-only: an array the
+    caller can still write to is copied once, a read-only one is kept.
+    Unfrozen, for a function that only reads it, it may be the caller's own."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged nesting
+        a = np.asarray(None)
+    if a.dtype.kind not in "biuf":
+        raise DataError(f"{name} must be numeric")
+    a = a.astype(np.float64, order="C", copy=False)
+    if not np.all(np.isfinite(a)):
+        index = np.argwhere(~np.isfinite(a))[0].tolist()
+        raise DataError(f"{name} must be finite, got {a[tuple(index)]} at index {index}")
+    if frozen:
+        if a.flags.writeable and (a is values or not a.flags.owndata):
+            a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 def _int_labels(labels, name):
     """Labels as a frozen int64 array; a label that is not a whole number is
     an error, never truncated.  `name` names the labels in that error."""
@@ -89,17 +126,12 @@ class Dataset:
     ids: list | None = None
 
     def __post_init__(self):
-        try:
-            self.features = _freeze(np.asarray(self.features, dtype=np.float64))
-        except (TypeError, ValueError):
-            raise DataError("features must be a numeric matrix") from None
+        self.features = _reals(self.features, "features")
         self.noisy_labels = _int_labels(self.noisy_labels, "noisy labels")
         if self.clean_labels is not None:
             self.clean_labels = _int_labels(self.clean_labels, "clean labels")
         if self.features.ndim != 2 or self.features.shape[1] < 1:
             raise DataError("features must be a 2-d matrix with d >= 1")
-        if not np.all(np.isfinite(self.features)):
-            raise DataError("non-finite feature")
         n = self.features.shape[0]
         if n < 3:
             raise DataError(f"need at least 3 rows, got {n}")
@@ -219,7 +251,7 @@ class TransitionMatrix:
 
     def __post_init__(self):
         _integer(self.k, "k", 1)
-        self.t = _freeze(np.asarray(self.t, dtype=np.float64))
+        self.t = _reals(self.t, "transition entries")
         if self.t.shape != (self.k, self.k):
             raise DataError(f"expected a {self.k}x{self.k} matrix, got {self.t.shape}")
         if not np.all((self.t >= -ROW_SUM_ATOL) & (self.t <= 1 + ROW_SUM_ATOL)):
@@ -228,7 +260,7 @@ class TransitionMatrix:
         if np.any(bad):
             raise DataError(f"row sum deviates from 1 in rows {np.flatnonzero(bad).tolist()}")
         if self.p is not None:
-            self.p = _freeze(np.asarray(self.p, dtype=np.float64))
+            self.p = _reals(self.p, "prior")
             if self.p.shape != (self.k,):
                 raise DataError("prior must have length K")
             if not (np.all(self.p >= -ROW_SUM_ATOL)
@@ -242,13 +274,9 @@ class TransitionMatrix:
             raise DataError("transition matrix JSON must be an object with keys "
                             f"'k' and 't', got {type(obj).__name__}")
         try:
-            k, t = obj["k"], np.array(obj["t"], dtype=np.float64)
-            p = None if obj.get("p") is None else np.array(obj["p"], dtype=np.float64)
+            return cls(obj["k"], obj["t"], p=obj.get("p"))
         except KeyError as exc:
             raise DataError(f"transition matrix JSON lacks key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed transition matrix JSON: {exc}") from None
-        return cls(k, t, p=p)
 
     @classmethod
     def load(cls, path):
@@ -270,7 +298,7 @@ def validate_transition(t, p=None):
     (1e-9), or an entry below -ROW_SUM_ATOL or above 1 + ROW_SUM_ATOL, is an
     error.
     """
-    t = np.asarray(t, dtype=np.float64)
+    t = _reals(t, "transition entries", frozen=False)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise DataError("transition matrix must be square")
     return TransitionMatrix(t.shape[0], t, p=p)
@@ -285,9 +313,7 @@ class NoiseRatePair:
     e2: float
 
     def __post_init__(self):
-        for name in ("e1", "e2"):
-            if not np.isfinite(getattr(self, name)):
-                raise DataError(f"noise rate {name} must be finite, got {getattr(self, name)!r}")
+        self.e1, self.e2 = _real(self.e1, "noise rate e1"), _real(self.e2, "noise rate e2")
         if self.e1 < 0 or self.e2 < 0:
             raise DataError("noise rates must be nonnegative")
         if self.e1 + self.e2 >= 1:
@@ -305,8 +331,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         _integer(self.max_iters, "max_iters", 1)
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
-            raise DataError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
+        self.tolerance = _real(self.tolerance, "tolerance", above=0)
 
 
 @dataclass

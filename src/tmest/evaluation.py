@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _integer, stage_rng
+from .core import DataError, _integer, _real, stage_rng
 
 
 def estimation_error(t_true, t_hat):
@@ -42,8 +42,7 @@ def train_linear(data_train, data_test, t=None, epochs=500, step_size=0.5, seed=
     exactly at T = I).
     """
     _integer(epochs, "epochs", 1)
-    if not (np.isfinite(step_size) and step_size > 0):
-        raise DataError(f"step_size must be finite and > 0, got {step_size!r}")
+    step_size = _real(step_size, "step_size", above=0)
     if data_test.clean_labels is None:
         raise DataError("test dataset must carry clean labels")
     if data_train.d != data_test.d or data_train.k != data_test.k:

@@ -17,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import DataError, TransitionMatrix, _freeze, _int_labels, _integer, stage_rng
+from .core import DataError, TransitionMatrix, _int_labels, _integer, _reals, stage_rng
 
 _NORM_ATOL = 1e-9
 # sym(c2) counts as rank-deficient below this fraction of its top eigenvalue
@@ -35,12 +35,11 @@ class ConsensusStatistics:
 
     def __post_init__(self):
         _integer(self.n, "n", 0)
-        self.c3 = _freeze(np.asarray(self.c3, dtype=np.float64))
+        self.c3 = _reals(self.c3, "c3")
         if self.c3.ndim != 3 or self.c3.shape != self.c3.shape[:1] * 3:
             raise DataError(f"c3 must be a K x K x K tensor, got shape {self.c3.shape}")
-        # phrased so that NaN and inf entries fail: comparisons with NaN are False
         if not (np.all(self.c3 >= 0) and abs(self.c3.sum() - 1.0) <= _NORM_ATOL):
-            raise DataError("c3 must be finite, nonnegative and sum to 1")
+            raise DataError("c3 must be nonnegative and sum to 1")
 
     @property
     def k(self):
@@ -58,7 +57,7 @@ class ConsensusStatistics:
 
 def count_consensus(labels, k):
     """Empirical frequencies of the rows (y_n, y_n1, y_n2) of an (M, 3) label array."""
-    y = _int_labels(labels, "triplet labels")
+    y, k = _int_labels(labels, "triplet labels"), _integer(k, "k", 2)
     if y.ndim != 2 or y.shape[1] != 3:
         raise DataError(f"triplet labels must have shape (M, 3), got {y.shape}")
     n = y.shape[0]
@@ -78,8 +77,13 @@ def _moments(t, p):
 
 
 def model_consensus(t, p=None):
-    """Exact pattern probabilities implied by (T, p) under clusterability."""
-    p = np.asarray(t.p if p is None else p, dtype=np.float64)
+    """Exact pattern probabilities implied by (T, p) under clusterability;
+    `p` defaults to the matrix's own prior."""
+    if p is None and t.p is None:
+        raise DataError("model_consensus needs a prior p: the matrix has none")
+    p = _reals(t.p if p is None else p, "prior p", frozen=False)
+    if p.shape != (t.k,):
+        raise DataError(f"prior p must have length K={t.k}, got shape {p.shape}")
     return ConsensusStatistics(_moments(t.t, p)[0], n=0)
 
 
@@ -211,7 +215,7 @@ def solve_transition(stats, k, config, seed=0):
     totals the EM iterations of both runs; `converged` is true only if the
     winning run stopped on the tolerance rule, not at `max_iters`.
     """
-    if stats.k != k:
+    if stats.k != _integer(k, "k", 2):
         raise DataError("statistics do not match the requested class count")
     spectral = _spectral_start(stats, stage_rng(seed, "optimizer"))
     starts = [] if spectral is None else [spectral]

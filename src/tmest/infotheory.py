@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DataError, _freeze, _int_labels, _integer
+from .core import DataError, _int_labels, _integer, _real, _reals
 from .similarity import SimilarityWeights
 
 WEIGHT_FLOOR = 1e-3   # smallest allowed weight after min-max normalization
@@ -65,7 +65,7 @@ def _divergence(counts, kind):
 def _checked(features, labels, bins):
     """Float64 features and int64 labels, after the checks binning needs."""
     _integer(bins, "bins", 2)
-    features, labels = np.asarray(features, dtype=np.float64), np.asarray(labels)
+    features, labels = _reals(features, "features", frozen=False), np.asarray(labels)
     if features.ndim != 2:
         raise DataError(f"features must be a 2-d array (rows x dims), got {features.ndim}-d")
     if labels.shape != features.shape[:1]:
@@ -73,9 +73,6 @@ def _checked(features, labels, bins):
                         f"labels of shape {labels.shape}")
     if features.shape[0] < bins:
         raise DataError(f"need at least bins={bins} samples")
-    finite = np.isfinite(features).all(axis=0)
-    if not finite.all():
-        raise DataError(f"feature column {np.argmin(finite)} holds a NaN or infinite value")
     labels = _int_labels(labels, "labels")
     if labels.min() < 0:
         raise DataError(f"labels must be nonnegative, got {labels.min()}")
@@ -109,7 +106,7 @@ def estimate_fmi(column, labels, kind=FDivergenceKind.TV, bins=15):
     variation between the empirical joint and the marginal product, which
     lies in [0, 1].  A constant column (or constant labels) gives 0.
     """
-    column = np.asarray(column, dtype=np.float64)
+    column = _reals(column, "column", frozen=False)
     if column.ndim != 1 or np.shape(labels) != column.shape:
         raise DataError("column and labels must be 1-d and equally long")
     return estimate_fmi_per_dim(column[:, None], labels, kind, bins).per_dim[0]
@@ -122,11 +119,11 @@ class MIEstimate:
     per_dim: np.ndarray
 
     def __post_init__(self):
-        self.per_dim = _freeze(np.asarray(self.per_dim, dtype=np.float64))
+        self.per_dim = _reals(self.per_dim, "MI values")
         if self.per_dim.ndim != 1 or self.per_dim.size == 0:
             raise DataError("per_dim must be a non-empty vector")
-        if not np.all(np.isfinite(self.per_dim)) or np.any(self.per_dim < 0):
-            raise DataError("MI values must be finite and nonnegative")
+        if np.any(self.per_dim < 0):
+            raise DataError("MI values must be nonnegative")
 
 
 def estimate_fmi_per_dim(features, labels, kind=FDivergenceKind.TV, bins=15):
@@ -189,6 +186,7 @@ def kl_noise_bias(beta, rates):
     beta in [0, 1) is the clean class-1 posterior mass at a feature value;
     the bias vanishes for all beta when there is no noise.
     """
+    beta = _real(beta, "beta")
     if not 0.0 <= beta < 1.0:
         raise DataError(f"beta must lie in [0, 1), got {beta}")
     e1, e2 = rates.e1, rates.e2
@@ -212,7 +210,7 @@ def practical_gap(rates, beta_lo=1 / 6, beta_hi=5 / 6):
     The bias is unimodal with its peak at e2/(e1+e2), so the extremes sit at
     the peak (if inside the range) and the endpoints.
     """
-    if not (0.0 <= beta_lo <= beta_hi < 1.0):
+    if not (0.0 <= _real(beta_lo, "beta_lo") <= _real(beta_hi, "beta_hi") < 1.0):
         raise DataError("need 0 <= beta_lo <= beta_hi < 1")
     vals = [kl_noise_bias(beta_lo, rates), kl_noise_bias(beta_hi, rates)]
     peak = kl_bias_argmax(rates)

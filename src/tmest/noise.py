@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DataError, NoiseRatePair, TransitionMatrix, stage_rng
+from .core import DataError, NoiseRatePair, TransitionMatrix, _integer, _real, stage_rng
 
 JITTER = 0.05
 _MAX_ROW_ATTEMPTS = 100
@@ -25,8 +25,7 @@ class NoiseScheme:
 
     def validate(self, k):
         for name in ("e1", "e2", "avg_rate"):
-            if not np.isfinite(getattr(self, name)):
-                raise DataError(f"{name} must be finite, got {getattr(self, name)!r}")
+            _real(getattr(self, name), name)
         if self.kind == "binary":
             if k != 2:
                 raise DataError("binary scheme requires K = 2")
@@ -42,8 +41,10 @@ class NoiseScheme:
 
 def avg_noise_rate_from_r(r, k):
     """Average noise rate e = 1 / (1 + r / sqrt(K-1)) for dominance ratio r."""
-    if not np.isfinite(r) or r <= 0 or k < 2:
-        raise DataError(f"need a finite r > 0 and K >= 2, got r={r!r}, K={k!r}")
+    try:
+        r, k = _real(r, "r", above=0), _integer(k, "K", 2)
+    except DataError:
+        raise DataError(f"need a finite r > 0 and K >= 2, got r={r!r}, K={k!r}") from None
     return 1.0 / (1.0 + r / np.sqrt(k - 1))
 
 
@@ -54,7 +55,7 @@ def build_transition(scheme, k):
     T_ii = 1 - u and spread u over the off-diagonal cells with a Dirichlet(1)
     draw; rows whose diagonal fails to dominate are resampled.
     """
-    scheme.validate(k)
+    scheme.validate(_integer(k, "k", 2))
     if scheme.kind == "binary":
         t = np.array([[1 - scheme.e1, scheme.e1], [scheme.e2, 1 - scheme.e2]])
         return TransitionMatrix(2, t)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _freeze, _int_labels
+from .core import DataError, _int_labels, _reals
 
 _CHUNK = 128                # most query rows per score block
 _GROUPS = 8                 # members of each column group in `_top3_candidates`
@@ -40,16 +40,13 @@ class SimilarityWeights:
     def __post_init__(self):
         if self.w is None:
             return
-        self.w = _freeze(np.asarray(self.w, dtype=np.float64))
+        self.w = _reals(self.w, f"{self.form} weights")
         if self.w.ndim == 1:
             if not np.all(self.w >= 0):
                 raise DataError("diagonal weights must be a nonnegative vector")
-        elif self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
-            raise DataError(f"full weights must be a square matrix, got shape {self.w.shape}")
-        if not np.all(np.isfinite(self.w)):
-            raise DataError(f"{self.form} weights must be finite")
-        if self.w.ndim == 1:
             return
+        if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
+            raise DataError(f"full weights must be a square matrix, got shape {self.w.shape}")
         if np.max(np.abs(self.w - self.w.T)) > 1e-9:
             raise DataError("full weight matrix must be symmetric")
         evals = np.linalg.eigvalsh(self.w)
@@ -58,7 +55,7 @@ class SimilarityWeights:
 
     @property
     def form(self):
-        return "identity" if self.w is None else ("diagonal", "full")[self.w.ndim - 1]
+        return "identity" if self.w is None else ("diagonal", "full")[np.ndim(self.w) != 1]
 
     @classmethod
     def identity(cls):
@@ -102,11 +99,9 @@ def soft_cosine(x, x2, weights):
     Equals hard cosine for identity weights; requires two finite vectors of
     one length, both with strictly positive weighted norm.
     """
-    x, x2 = np.asarray(x, dtype=np.float64), np.asarray(x2, dtype=np.float64)
+    x, x2 = _reals(x, "x", frozen=False), _reals(x2, "x2", frozen=False)
     if x.ndim != 1 or x.shape != x2.shape:
         raise DataError(f"need two vectors of one length, got shapes {x.shape} and {x2.shape}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(x2))):
-        raise DataError("soft cosine of a vector with a NaN or infinite entry")
     a, b = _weighted_rows(np.array([x, x2]), weights)
     n1, n2 = a @ a, b @ b
     if n1 <= 0 or n2 <= 0:

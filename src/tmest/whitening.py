@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DataError, _freeze
+from .core import DataError, _freeze, _reals
 
 EIGEN_FLOOR = 1e-10
 
@@ -27,9 +27,9 @@ class WhiteningTransform:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        self.mean = _freeze(np.asarray(self.mean, dtype=np.float64))
-        self.eigenvectors = _freeze(np.asarray(self.eigenvectors, dtype=np.float64))
-        self.eigenvalues = _freeze(np.asarray(self.eigenvalues, dtype=np.float64))
+        self.mean = _reals(self.mean, "mean")
+        self.eigenvectors = _reals(self.eigenvectors, "eigenvectors")
+        self.eigenvalues = _reals(self.eigenvalues, "eigenvalues")
         if self.eigenvectors.shape != (self.d, self.r):
             raise DataError("eigenvector matrix must be d x r")
         if self.eigenvalues.shape != (self.r,):
@@ -57,7 +57,7 @@ class WhiteningTransform:
         BLAS product may round equal rows differently by their place in the
         block), so equal rows map to equal bits.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = _reals(x, "x", frozen=False)
         if x.shape[-1] != self.d:
             raise DataError(f"dimension mismatch: transform expects d={self.d}")
         return (np.einsum("...j,jk->...k", x - self.mean, self.eigenvectors)
@@ -89,5 +89,6 @@ def fit_whitening(data):
 
 
 def apply_whitening(transform, data):
-    """Replace the dataset's features by their whitened coordinates."""
-    return replace(data, features=transform.project(data.features))
+    """Replace the dataset's features by their whitened coordinates, handed
+    over read-only so the dataset need not copy them."""
+    return replace(data, features=_freeze(transform.project(data.features)))

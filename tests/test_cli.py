@@ -292,7 +292,8 @@ def test_non_utf8_input_is_reported(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text,args,message", [
-    ("f0,noisy_label\n0.1,0\nnan,1\n0.3,0\n", [], "non-finite feature"),
+    ("f0,noisy_label\n0.1,0\nnan,1\n0.3,0\n", [],
+     "features must be finite, got nan at index [1, 0]"),
     ("f0,noisy_label\n0.1,0\n0.2,7\n0.3,1\n", ["--k", "2"],
      "noisy label out of range [0, 2)"),
 ], ids=["nan-feature", "label-out-of-range"])

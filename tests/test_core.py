@@ -28,7 +28,7 @@ def test_load_basic_csv(tmp_csv):
 
 def test_load_rejects_nan(tmp_csv):
     path = tmp_csv("bad.csv", CSV_BASIC.replace("1.1", "NaN"))
-    with pytest.raises(DataError, match="non-finite feature"):
+    with pytest.raises(DataError, match=r"features must be finite, got nan at index \[1, 1\]"):
         tm.load_dataset(path)
 
 
@@ -228,7 +228,7 @@ def test_dataset_rejects_non_integer_labels(field, labels):
 @pytest.mark.parametrize("features", [[["a"], ["b"], ["c"]], [[1.0], ["x"], [2.0]],
                                       [[1.0, 2.0], [3.0], [4.0, 5.0]]])
 def test_dataset_rejects_non_numeric_features(features):
-    with pytest.raises(DataError, match="features must be a numeric matrix"):
+    with pytest.raises(DataError, match="features must be numeric"):
         tm.Dataset(features, [0, 1, 0], 2)
 
 

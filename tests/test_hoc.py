@@ -63,15 +63,27 @@ def test_count_consensus_label_out_of_range():
             count_consensus(np.array([[0, 0, bad], [0, 1, 0], [1, 0, 1]]), 2)
 
 
-@pytest.mark.parametrize("labels,message", [
-    ([[0.5, 0, 1], [0, 1, 0], [1, 0, 1]], "triplet labels must be integers"),  # not 0
-    (np.zeros((4, 2), dtype=int), r"must have shape \(M, 3\), got \(4, 2\)"),
-    (np.zeros(12, dtype=int), r"must have shape \(M, 3\), got \(12,\)"),
-    (np.zeros((2, 2, 3), dtype=int), r"must have shape \(M, 3\), got \(2, 2, 3\)"),
-], ids=["fraction", "pairs", "flat", "3-d"])
-def test_count_consensus_rejects_bad_labels(labels, message):
+@pytest.mark.parametrize("labels,k,message", [
+    ([[0.5, 0, 1], [0, 1, 0], [1, 0, 1]], 2, "triplet labels must be integers"),  # not 0
+    (np.zeros((4, 2), dtype=int), 2, r"must have shape \(M, 3\), got \(4, 2\)"),
+    (np.zeros(12, dtype=int), 2, r"must have shape \(M, 3\), got \(12,\)"),
+    (np.zeros((2, 2, 3), dtype=int), 2, r"must have shape \(M, 3\), got \(2, 2, 3\)"),
+    (np.zeros((3, 3), dtype=int), 2.5, "k must be an integer >= 2, got 2.5"),
+    (np.zeros((3, 3), dtype=int), 2.0, "k must be an integer >= 2, got 2.0"),
+], ids=["fraction", "pairs", "flat", "3-d", "fractional-k", "float-k"])
+def test_count_consensus_rejects_bad_labels(labels, k, message):
     with pytest.raises(DataError, match=message):
-        count_consensus(labels, 2)
+        count_consensus(labels, k)
+
+
+def test_model_consensus_needs_a_prior():
+    t = TransitionMatrix(2, np.eye(2))
+    with pytest.raises(DataError, match="needs a prior p"):
+        model_consensus(t)
+    with pytest.raises(DataError, match=r"prior p must have length K=2, got shape \(3,\)"):
+        model_consensus(t, [0.2, 0.3, 0.5])
+    np.testing.assert_array_equal(model_consensus(t, [0.5, 0.5]).c3,
+                                  model_consensus(TransitionMatrix(2, np.eye(2), [0.5, 0.5])).c3)
 
 
 def test_model_consensus_symmetric_hand_values():
@@ -432,3 +444,6 @@ def test_stats_k_mismatch():
     t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
     with pytest.raises(DataError):
         solve_transition(model_consensus(t, [0.5, 0.5]), 3, OptimizerConfig())
+    for k in (2.0, 2.5):  # never truncated to the statistics' K = 2
+        with pytest.raises(DataError, match=f"k must be an integer >= 2, got {k}"):
+            solve_transition(model_consensus(t, [0.5, 0.5]), k, OptimizerConfig())

@@ -113,7 +113,7 @@ def test_estimate_fmi_rejects_negative_labels():
 def test_per_dim_rejects_nan_column():
     x = np.random.default_rng(3).normal(size=(30, 3))
     x[7, 2] = np.nan
-    with pytest.raises(DataError, match="feature column 2 holds a NaN"):
+    with pytest.raises(DataError, match=r"features must be finite, got nan at index \[7, 2\]"):
         estimate_fmi_per_dim(x, np.arange(30) % 2)
 
 

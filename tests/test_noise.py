@@ -25,6 +25,11 @@ def test_binary_scheme_validation():
         build_transition(NoiseScheme("binary", e1=0.1, e2=0.1), 3)
     with pytest.raises(DataError):
         build_transition(NoiseScheme("binary", e1=-0.1, e2=0.1), 2)
+    for k in (2.0, 2.5):  # never truncated, for either scheme
+        for scheme in (NoiseScheme("binary", e1=0.1, e2=0.1),
+                       NoiseScheme("dirichlet", avg_rate=0.2)):
+            with pytest.raises(DataError, match=f"k must be an integer >= 2, got {k}"):
+                build_transition(scheme, k)
 
 
 def test_unknown_scheme():

@@ -38,8 +38,7 @@ def _cmd_estimate(args):
 
 def _cmd_mi(args):
     data = load_dataset(args.input, k=args.k)
-    mi = estimate_fmi_per_dim(data.features, data.noisy_labels,
-                              FDivergenceKind(args.divergence), args.bins)
+    mi = estimate_fmi_per_dim(data.features, data.noisy_labels, args.divergence, args.bins)
     weights = build_weights(mi, args.activation)
     print("dim,mi,weight")
     for i, (v, w) in enumerate(zip(mi.per_dim, weights.w)):

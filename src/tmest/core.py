@@ -3,9 +3,12 @@
 Every float a public function or container takes enters through `_real`
 (scalars) or `_reals` (arrays): text, None and NaN or infinite values are a
 `DataError` that names the argument, and for an array the index of its first
-non-finite entry.  Containers keep read-only buffers, so no later in-place
-write can break an invariant `__post_init__` has checked; a writeable input
-array is copied once, never frozen under its owner.
+non-finite entry.  Every label and row id enters through `_int_labels`: a
+whole number, at least 0 and below K where a K applies; text, None,
+fractions and ragged nesting are a `DataError` that names it.  Containers
+keep read-only buffers, so no later in-place write can break an invariant
+`__post_init__` has checked; a writeable input array is copied once, never
+frozen under its owner.
 """
 
 import csv
@@ -77,16 +80,21 @@ def _real(value, name, above=None):
     return float(value)
 
 
+def _array(values):
+    """`np.asarray(values)`, or a 0-d object array where nesting is ragged."""
+    try:
+        return np.asarray(values)
+    except ValueError:  # ragged nesting
+        return np.asarray(None)
+
+
 def _reals(values, name, frozen=True):
     """`values` as a C-ordered float64 array of finite entries; text, None,
     ragged nesting and NaN or inf are errors that name it (and the first bad
     index).  Frozen, for a container to keep, it is read-only: an array the
     caller can still write to is copied once, a read-only one is kept.
     Unfrozen, for a function that only reads it, it may be the caller's own."""
-    try:
-        a = np.asarray(values)
-    except ValueError:  # ragged nesting
-        a = np.asarray(None)
+    a = _array(values)
     if a.dtype.kind not in "biuf":
         raise DataError(f"{name} must be numeric")
     a = a.astype(np.float64, order="C", copy=False)
@@ -100,15 +108,22 @@ def _reals(values, name, frozen=True):
     return a
 
 
-def _int_labels(labels, name):
-    """Labels as a frozen int64 array; a label that is not a whole number is
-    an error, never truncated.  `name` names the labels in that error."""
-    labels = np.asarray(labels)
+def _int_labels(labels, name, k=None):
+    """Labels or row ids as a frozen int64 array of whole numbers, at least 0
+    and below `k` where one is given; text, None, fractions, floats beyond
+    int64 and ragged nesting are errors that name them, never truncated."""
+    labels = _array(labels)
     whole = labels.dtype.kind in "biu" or (labels.dtype.kind == "f" and np.all(
-        np.isfinite(labels) & (labels == np.trunc(labels))))
+        (labels == np.trunc(labels)) & (np.abs(labels) < 2.0 ** 63)))
     if not whole:
         raise DataError(f"{name} must be integers")
-    return _freeze(labels.astype(np.int64))
+    labels = labels.astype(np.int64)
+    low, high = labels.min(initial=0), labels.max(initial=-1)
+    if k is not None and (low < 0 or high >= k):
+        raise DataError(f"{name} out of range [0, {k})")
+    if low < 0:
+        raise DataError(f"{name} must be nonnegative, got {low}")
+    return _freeze(labels)
 
 
 @dataclass
@@ -127,23 +142,21 @@ class Dataset:
 
     def __post_init__(self):
         self.features = _reals(self.features, "features")
-        self.noisy_labels = _int_labels(self.noisy_labels, "noisy labels")
+        _integer(self.k, "class count k", 2)
+        self.noisy_labels = _int_labels(self.noisy_labels, "noisy labels", self.k)
         if self.clean_labels is not None:
-            self.clean_labels = _int_labels(self.clean_labels, "clean labels")
+            self.clean_labels = _int_labels(self.clean_labels, "clean labels", self.k)
         if self.features.ndim != 2 or self.features.shape[1] < 1:
             raise DataError("features must be a 2-d matrix with d >= 1")
         n = self.features.shape[0]
         if n < 3:
             raise DataError(f"need at least 3 rows, got {n}")
-        _integer(self.k, "class count k", 2)
         for name, labels in (("noisy", self.noisy_labels), ("clean", self.clean_labels)):
             if labels is None:
                 continue
             if labels.shape != (n,):
                 raise DataError(f"{name} labels must have length N={n}")
-            if labels.min() < 0 or labels.max() >= self.k:
-                raise DataError(f"{name} label out of range [0, {self.k})")
-        if self.ids is not None and len(self.ids) != n:
+        if self.ids is not None and (not hasattr(self.ids, "__len__") or len(self.ids) != n):
             raise DataError("ids must have length N")
 
     @property
@@ -380,5 +393,7 @@ class Report:
     excluded_rows: int = 0  # rows with zero weighted norm, left out of the 2-NN search
 
     def __post_init__(self):
-        if self.error is not None and not (0.0 <= self.error <= 1.0):
-            raise DataError(f"error must lie in [0, 1], got {self.error}")
+        if self.error is not None:
+            self.error = _real(self.error, "error")
+            if not 0.0 <= self.error <= 1.0:
+                raise DataError(f"error must lie in [0, 1], got {self.error}")

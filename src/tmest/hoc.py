@@ -57,14 +57,13 @@ class ConsensusStatistics:
 
 def count_consensus(labels, k):
     """Empirical frequencies of the rows (y_n, y_n1, y_n2) of an (M, 3) label array."""
-    y, k = _int_labels(labels, "triplet labels"), _integer(k, "k", 2)
+    k = _integer(k, "k", 2)
+    y = _int_labels(labels, "triplet labels", k)
     if y.ndim != 2 or y.shape[1] != 3:
         raise DataError(f"triplet labels must have shape (M, 3), got {y.shape}")
     n = y.shape[0]
     if n == 0:
         raise DataError("no triplets to count")
-    if np.any(y < 0) or np.any(y >= k):
-        raise DataError("triplet label out of range")
     cells = (y[:, 0] * k + y[:, 1]) * k + y[:, 2]
     return ConsensusStatistics(np.bincount(cells, minlength=k ** 3).reshape(k, k, k) / n, n)
 

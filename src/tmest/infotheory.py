@@ -65,7 +65,7 @@ def _divergence(counts, kind):
 def _checked(features, labels, bins):
     """Float64 features and int64 labels, after the checks binning needs."""
     _integer(bins, "bins", 2)
-    features, labels = _reals(features, "features", frozen=False), np.asarray(labels)
+    features, labels = _reals(features, "features", frozen=False), _int_labels(labels, "labels")
     if features.ndim != 2:
         raise DataError(f"features must be a 2-d array (rows x dims), got {features.ndim}-d")
     if labels.shape != features.shape[:1]:
@@ -73,9 +73,6 @@ def _checked(features, labels, bins):
                         f"labels of shape {labels.shape}")
     if features.shape[0] < bins:
         raise DataError(f"need at least bins={bins} samples")
-    labels = _int_labels(labels, "labels")
-    if labels.min() < 0:
-        raise DataError(f"labels must be nonnegative, got {labels.min()}")
     return features, labels
 
 
@@ -107,8 +104,8 @@ def estimate_fmi(column, labels, kind=FDivergenceKind.TV, bins=15):
     lies in [0, 1].  A constant column (or constant labels) gives 0.
     """
     column = _reals(column, "column", frozen=False)
-    if column.ndim != 1 or np.shape(labels) != column.shape:
-        raise DataError("column and labels must be 1-d and equally long")
+    if column.ndim != 1:
+        raise DataError(f"column must be 1-d, got {column.ndim}-d")
     return estimate_fmi_per_dim(column[:, None], labels, kind, bins).per_dim[0]
 
 
@@ -128,7 +125,13 @@ class MIEstimate:
 
 def estimate_fmi_per_dim(features, labels, kind=FDivergenceKind.TV, bins=15):
     """f-MI of every feature column against the labels, each on its own
-    equal-frequency bins; columns are binned `_BATCH` at a time."""
+    equal-frequency bins; columns are binned `_BATCH` at a time.  `kind` is
+    an `FDivergenceKind` or its value, "kl" or "tv"."""
+    try:
+        kind = FDivergenceKind(kind)
+    except ValueError:
+        raise DataError(f"unknown f-divergence kind {kind!r} (choose from "
+                        f"{', '.join(k.value for k in FDivergenceKind)})") from None
     features, labels = _checked(features, labels, bins)
     return MIEstimate([v for start in range(0, features.shape[1], _BATCH)
                        for v in _fmi_batch(features[:, start:start + _BATCH], labels,

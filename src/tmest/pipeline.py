@@ -13,7 +13,7 @@ from dataclasses import asdict
 from .core import VARIANTS, DataError, Report
 from .evaluation import estimation_error
 from .hoc import count_consensus, solve_transition
-from .infotheory import FDivergenceKind, estimate_fmi_per_dim, build_weights
+from .infotheory import estimate_fmi_per_dim, build_weights
 from .similarity import SimilarityWeights, get_2nn_triplets
 from .whitening import fit_whitening, apply_whitening
 
@@ -38,8 +38,7 @@ def estimate(data, config, true_t=None):
         work = apply_whitening(fit_whitening(data), data)
     lap("whitening")
     if divergence is not None:
-        mi = estimate_fmi_per_dim(work.features, work.noisy_labels,
-                                  FDivergenceKind(divergence), config.bins)
+        mi = estimate_fmi_per_dim(work.features, work.noisy_labels, divergence, config.bins)
         weights = build_weights(mi, config.activation)
     lap("weights")
     graph = get_2nn_triplets(work, weights or SimilarityWeights.identity())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _int_labels, _reals
+from .core import DataError, _array, _int_labels, _reals
 
 _CHUNK = 128                # most query rows per score block
 _GROUPS = 8                 # members of each column group in `_top3_candidates`
@@ -55,7 +55,7 @@ class SimilarityWeights:
 
     @property
     def form(self):
-        return "identity" if self.w is None else ("diagonal", "full")[np.ndim(self.w) != 1]
+        return "identity" if self.w is None else ("diagonal", "full")[_array(self.w).ndim != 1]
 
     @classmethod
     def identity(cls):
@@ -63,13 +63,13 @@ class SimilarityWeights:
 
     @classmethod
     def diagonal(cls, w):
-        if np.ndim(w) != 1:
+        if _array(w).ndim != 1:
             raise DataError("diagonal weights must be a nonnegative vector")
         return cls(w)
 
     @classmethod
     def full(cls, mat):
-        if np.ndim(mat) != 2:
+        if _array(mat).ndim != 2:
             raise DataError("full weights must be a square matrix")
         return cls(mat)
 
@@ -127,8 +127,8 @@ class NeighborTriplets:
 
     def labels(self, y):
         """(M, 3) labels (y_n, y_n1, y_n2) of each query row and its neighbors, read from y."""
-        y, ids = np.asarray(y), np.column_stack([self.rows, self.indices])
-        if y.ndim != 1 or (ids.size and (ids.min() < 0 or ids.max() >= y.size)):
+        y, ids = _array(y), np.column_stack([self.rows, self.indices])
+        if y.ndim != 1 or (ids.size and ids.max() >= y.size):
             raise DataError(f"need one label per row id of the graph, got shape {y.shape}")
         return y[ids]
 

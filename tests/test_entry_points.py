@@ -70,6 +70,47 @@ FLOAT_INPUTS = [
      "step_size"),
 ]
 
+# Labels and row ids, like floats, reject bad values with a `DataError` that names them.
+# (entry point, call with one bad label v placed in it, name of the labels, their K or None)
+LABEL_INPUTS = [
+    ("Dataset.noisy_labels", lambda v: tm.Dataset(np.zeros((3, 2)), [0, v, 1], 2),
+     "noisy labels", 2),
+    ("Dataset.clean_labels",
+     lambda v: tm.Dataset(np.zeros((3, 2)), [0, 1, 0], 2, clean_labels=[0, v, 1]),
+     "clean labels", 2),
+    ("count_consensus", lambda v: tm.count_consensus([[0, 1, 0], [1, v, 0], [0, 0, 1]], 2),
+     "triplet labels", 2),
+    ("estimate_fmi_per_dim",
+     lambda v: tm.estimate_fmi_per_dim([[float(i)] for i in range(20)], [0, v] + [0, 1] * 9),
+     "labels", None),
+    ("estimate_fmi", lambda v: tm.estimate_fmi(list(range(20)), [0, v] + [0, 1] * 9),
+     "labels", None),
+    ("NeighborTriplets.rows", lambda v: tm.NeighborTriplets([0, v], [[1, 2], [2, 0]]),
+     "row ids", None),
+    ("NeighborTriplets.indices", lambda v: tm.NeighborTriplets([0, 1], [[1, 2], [v, 0]]),
+     "neighbor indices", None),
+]
+LABEL_IDS = [case[0] for case in LABEL_INPUTS]
+
+# (entry point, call on a bad input, regex of its error): ragged nesting and
+# wrong types that numpy or Python would otherwise reject with their own errors
+MALFORMED_INPUTS = [
+    ("SimilarityWeights.ragged", lambda: tm.SimilarityWeights([[1.0], [1.0, 2.0]]),
+     "^full weights must be numeric"),
+    ("SimilarityWeights.diagonal.ragged",
+     lambda: tm.SimilarityWeights.diagonal([[1.0], [1.0, 2.0]]),
+     "^diagonal weights must be a nonnegative vector"),
+    ("SimilarityWeights.full.ragged", lambda: tm.SimilarityWeights.full([[1.0], [1.0, 2.0]]),
+     "^full weights must be a square matrix"),
+    ("NeighborTriplets.labels.ragged",
+     lambda: tm.NeighborTriplets([0, 1], [[1, 2], [2, 0]]).labels([[0], [1, 0], [0]]),
+     "^need one label per row id of the graph"),
+    ("Dataset.ids", lambda: tm.Dataset(np.zeros((3, 2)), [0, 1, 0], 2, ids=5),
+     "^ids must have length N"),
+    ("Report.error", lambda: tm.Report(tm.validate_transition(np.eye(2)), STATS, error="a"),
+     "^error must be finite"),
+]
+
 CLASS_COUNT_INPUTS = [
     ("count_consensus", lambda k: tm.count_consensus(np.zeros((3, 3), dtype=int), k)),
     ("solve_transition", lambda k: tm.solve_transition(STATS, k, tm.OptimizerConfig())),
@@ -85,6 +126,32 @@ CLASS_COUNT_INPUTS = [
 def test_float_input_rejects_bad_value(call, name, bad):
     with pytest.raises(DataError, match=name):
         call(bad)
+
+
+@pytest.mark.parametrize("call,name", [case[1:3] for case in LABEL_INPUTS], ids=LABEL_IDS)
+@pytest.mark.parametrize("bad", ["a", None, [0, 1], 0.5, 1e20],
+                         ids=["text", "none", "ragged", "fraction", "beyond-int64"])
+def test_label_input_rejects_non_integer(call, name, bad):
+    with pytest.raises(DataError, match=f"^{name} must be integers$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call,name,k", [case[1:] for case in LABEL_INPUTS], ids=LABEL_IDS)
+def test_label_input_rejects_out_of_range(call, name, k):
+    if k is None:
+        with pytest.raises(DataError, match=f"^{name} must be nonnegative, got -1$"):
+            call(-1)
+        return
+    for bad in (-1, k):
+        with pytest.raises(DataError, match=f"^{name} out of range \\[0, {k}\\)$"):
+            call(bad)
+
+
+@pytest.mark.parametrize("call,message", [case[1:] for case in MALFORMED_INPUTS],
+                         ids=[case[0] for case in MALFORMED_INPUTS])
+def test_malformed_input_is_a_data_error(call, message):
+    with pytest.raises(DataError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("call", [case[1] for case in CLASS_COUNT_INPUTS],

@@ -37,6 +37,20 @@ def test_tv_perfectly_informative_is_half():
     assert estimate_fmi(col, y, FDivergenceKind.TV, bins=2) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_divergence_kind_may_be_given_by_value():
+    x = np.arange(20.0)[:, None]
+    y = (x[:, 0] >= 10).astype(int)
+    for kind in FDivergenceKind:
+        by_value = estimate_fmi_per_dim(x, y, kind.value, bins=2).per_dim
+        assert by_value.tobytes() == estimate_fmi_per_dim(x, y, kind, bins=2).per_dim.tobytes()
+    assert estimate_fmi_per_dim(x, y, "tv", bins=2).per_dim[0] == 0.5  # TV, not KL's 1.0
+    with pytest.raises(DataError,
+                       match="unknown f-divergence kind 'bogus' \\(choose from kl, tv\\)"):
+        estimate_fmi_per_dim(x, y, "bogus", bins=2)
+    with pytest.raises(DataError, match="unknown f-divergence kind"):
+        estimate_fmi(x[:, 0], y, "bogus", bins=2)
+
+
 def test_independent_column_near_zero():
     rng = np.random.default_rng(0)
     n = 10_000

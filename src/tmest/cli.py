@@ -10,12 +10,11 @@ import json
 import sys
 from dataclasses import replace
 
-from .core import (ACTIVATIONS, VARIANTS, DataError, EstimatorConfig,
+from .core import (ACTIVATIONS, DIVERGENCES, VARIANTS, DataError, EstimatorConfig,
                    NoiseRatePair, OptimizerConfig, TransitionMatrix, dump_json,
                    load_dataset, save_dataset, save_json)
 from .evaluation import estimation_error, train_linear
-from .infotheory import (FDivergenceKind, build_weights, estimate_fmi_per_dim,
-                         kl_order_gap, practical_gap)
+from .infotheory import build_weights, estimate_fmi_per_dim, kl_order_gap, practical_gap
 from .noise import NoiseScheme, avg_noise_rate_from_r, build_transition, inject_noise
 from .pipeline import estimate
 
@@ -31,7 +30,7 @@ def _cmd_estimate(args):
     report = estimate(data, config, true_t=true_t)
     if args.output:
         save_json(report, args.output)
-    dump_json(report, sys.stdout)
+    dump_json(replace(report, consensus=None), sys.stdout)  # c3 only in --output
     print()
     return 0
 
@@ -59,6 +58,8 @@ def _cmd_bound(args):
 
 
 def _cmd_inject_noise(args):
+    if args.scheme != "dirichlet" and (args.e is not None or args.r is not None):
+        raise DataError("--e and --r apply only to --scheme dirichlet")
     data = load_dataset(args.input, k=args.k)
     if data.clean_labels is None:
         # treat the noisy column as clean ground truth to corrupt
@@ -130,8 +131,7 @@ def build_parser():
 
     pm = sub.add_parser("mi", parents=[data, mi],
                         help="per-dimension MI and weights as CSV")
-    pm.add_argument("--divergence", default=FDivergenceKind.TV.value,
-                    choices=[kind.value for kind in FDivergenceKind])
+    pm.add_argument("--divergence", default="tv", choices=DIVERGENCES)
     pm.set_defaults(func=_cmd_mi)
 
     pb = sub.add_parser("bound", help="KL order-preservation bounds as JSON")

@@ -28,6 +28,7 @@ VARIANTS = {
     "a-kl": (True, "kl"),
     "a-tv": (True, "tv"),
 }
+DIVERGENCES = ("kl", "tv")
 ACTIVATIONS = ("minmax", "log-minmax")
 
 
@@ -111,12 +112,16 @@ def _reals(values, name, frozen=True):
 def _int_labels(labels, name, k=None):
     """Labels or row ids as a frozen int64 array of whole numbers, at least 0
     and below `k` where one is given; text, None, fractions, floats beyond
-    int64 and ragged nesting are errors that name them, never truncated."""
+    int64 and ragged nesting are errors that name them, never truncated, and
+    unsigned values of 2**63 or more are errors, never wrapped."""
     labels = _array(labels)
     whole = labels.dtype.kind in "biu" or (labels.dtype.kind == "f" and np.all(
         (labels == np.trunc(labels)) & (np.abs(labels) < 2.0 ** 63)))
     if not whole:
         raise DataError(f"{name} must be integers")
+    if labels.dtype.kind == "u" and labels.max(initial=0) >= 2 ** 63:
+        raise DataError(f"{name} out of range [0, {k})" if k is not None
+                        else f"{name} must be below 2**63, got {labels.max()}")
     labels = labels.astype(np.int64)
     low, high = labels.min(initial=0), labels.max(initial=-1)
     if k is not None and (low < 0 or high >= k):
@@ -391,6 +396,7 @@ class Report:
     config_echo: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     excluded_rows: int = 0  # rows with zero weighted norm, left out of the 2-NN search
+    flags: list = field(default_factory=list)  # what the counts cannot identify
 
     def __post_init__(self):
         if self.error is not None:

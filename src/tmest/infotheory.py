@@ -8,25 +8,20 @@ Bins are found by sorting: a batch of `_BATCH` columns is argsorted once, the
 bin edges are ``np.quantile``'s linear quantiles read off the sorted values,
 each bin is a run of sorted positions, and one ``np.bincount`` of the sorted
 labels gives the joint counts of the whole batch.  All logarithms are base 2.
+The f-divergence is named by a string of `core.DIVERGENCES`: "kl" or "tv".
 """
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import DataError, _int_labels, _integer, _real, _reals
+from .core import ACTIVATIONS, DIVERGENCES, DataError, _int_labels, _integer, _real, _reals
 from .similarity import SimilarityWeights
 
 WEIGHT_FLOOR = 1e-3   # smallest allowed weight after min-max normalization
 LOG_MI_FLOOR = 1e-6   # floor before taking log2 of an MI value
 _BATCH = 8            # feature columns binned per sort
-
-# Divergences the estimator evaluates in closed form.
-class FDivergenceKind(Enum):
-    KL = "kl"
-    TV = "tv"
 
 
 def _interior_edges(ordered, bins):
@@ -56,7 +51,7 @@ def _divergence(counts, kind):
     """
     joint = counts / counts.sum()
     prod = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-    if kind is FDivergenceKind.TV:
+    if kind == "tv":
         return 0.5 * float(np.abs(joint - prod).sum())
     nz = joint > 0
     return max(float(np.sum(joint[nz] * np.log2(joint[nz] / prod[nz]))), 0.0)
@@ -96,19 +91,6 @@ def _fmi_batch(columns, labels, kind, bins):
     return [_divergence(c[:m], kind) for c, m in zip(counts, size)]
 
 
-def estimate_fmi(column, labels, kind=FDivergenceKind.TV, bins=15):
-    """Plug-in f-MI between a scalar feature column and integer labels.
-
-    KL returns classical mutual information in bits; TV returns the total
-    variation between the empirical joint and the marginal product, which
-    lies in [0, 1].  A constant column (or constant labels) gives 0.
-    """
-    column = _reals(column, "column", frozen=False)
-    if column.ndim != 1:
-        raise DataError(f"column must be 1-d, got {column.ndim}-d")
-    return estimate_fmi_per_dim(column[:, None], labels, kind, bins).per_dim[0]
-
-
 @dataclass
 class MIEstimate:
     """Per-dimension f-MI values for one dataset."""
@@ -123,15 +105,17 @@ class MIEstimate:
             raise DataError("MI values must be nonnegative")
 
 
-def estimate_fmi_per_dim(features, labels, kind=FDivergenceKind.TV, bins=15):
-    """f-MI of every feature column against the labels, each on its own
-    equal-frequency bins; columns are binned `_BATCH` at a time.  `kind` is
-    an `FDivergenceKind` or its value, "kl" or "tv"."""
-    try:
-        kind = FDivergenceKind(kind)
-    except ValueError:
-        raise DataError(f"unknown f-divergence kind {kind!r} (choose from "
-                        f"{', '.join(k.value for k in FDivergenceKind)})") from None
+def estimate_fmi_per_dim(features, labels, kind="tv", bins=15):
+    """Plug-in f-MI of every feature column against integer labels, each on
+    its own equal-frequency bins; columns are binned `_BATCH` at a time.
+
+    "kl" gives classical mutual information in bits; "tv" gives the total
+    variation between the empirical joint and the marginal product, which
+    lies in [0, 1].  A constant column (or constant labels) gives 0.
+    """
+    if not isinstance(kind, str) or kind not in DIVERGENCES:
+        raise DataError(f"unknown f-divergence kind {kind!r} "
+                        f"(choose from {', '.join(DIVERGENCES)})")
     features, labels = _checked(features, labels, bins)
     return MIEstimate([v for start in range(0, features.shape[1], _BATCH)
                        for v in _fmi_batch(features[:, start:start + _BATCH], labels,
@@ -147,17 +131,17 @@ def build_weights(mi, activation="minmax"):
     values.  Every weight lies in (0, 1] and the largest is exactly 1;
     uniform MI yields uniform weights.
     """
+    if activation not in ACTIVATIONS:
+        raise DataError(f"unknown activation '{activation}'")
     vals = mi.per_dim
     if activation == "log-minmax":
         vals = np.log2(np.maximum(vals, LOG_MI_FLOOR))
-    elif activation != "minmax":
-        raise DataError(f"unknown activation '{activation}'")
     lo, hi = vals.min(), vals.max()
     if hi - lo <= 0:
         w = np.ones_like(vals)
     else:
         w = np.maximum(WEIGHT_FLOOR, (vals - lo) / (hi - lo))
-    return SimilarityWeights.diagonal(w)
+    return SimilarityWeights(w)
 
 
 def _h2(e):

@@ -10,6 +10,8 @@ replaced here (for example by a tracing wrapper) without touching its module.
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from .core import VARIANTS, DataError, Report
 from .evaluation import estimation_error
 from .hoc import count_consensus, solve_transition
@@ -18,11 +20,21 @@ from .similarity import SimilarityWeights, get_2nn_triplets
 from .whitening import fit_whitening, apply_whitening
 
 
+def _flags(stats, t):
+    """What the counts cannot identify: each label with zero c1 mass, and
+    each row of T whose diagonal is not its strict maximum."""
+    off_diagonal = np.where(np.eye(len(t), dtype=bool), -np.inf, t)
+    return ([f"label {i} has no c1 mass" for i in np.flatnonzero(stats.c1 == 0)]
+            + [f"T row {i}: diagonal is not the row maximum"
+               for i in np.flatnonzero(np.diag(t) <= off_diagonal.max(axis=1))])
+
+
 def estimate(data, config, true_t=None):
     """Run the full pipeline on a noisy dataset and assemble a Report.
 
     `timings` holds the seconds of each stage: whitening, weights,
-    neighbors, count and solve.
+    neighbors, count and solve.  `flags` names what the counts cannot
+    identify; it is empty when nothing is flagged.
     """
     if true_t is not None and true_t.k != data.k:
         raise DataError(f"true_t has K={true_t.k}, but the data have K={data.k}")
@@ -41,7 +53,7 @@ def estimate(data, config, true_t=None):
         mi = estimate_fmi_per_dim(work.features, work.noisy_labels, divergence, config.bins)
         weights = build_weights(mi, config.activation)
     lap("weights")
-    graph = get_2nn_triplets(work, weights or SimilarityWeights.identity())
+    graph = get_2nn_triplets(work, weights or SimilarityWeights())
     lap("neighbors")
     stats = count_consensus(graph.labels(data.noisy_labels), data.k)
     lap("count")
@@ -57,4 +69,5 @@ def estimate(data, config, true_t=None):
         config_echo=asdict(config),
         timings=timings,
         excluded_rows=data.n - graph.rows.size,
+        flags=_flags(stats, solution.t.t),
     )

@@ -57,22 +57,6 @@ class SimilarityWeights:
     def form(self):
         return "identity" if self.w is None else ("diagonal", "full")[_array(self.w).ndim != 1]
 
-    @classmethod
-    def identity(cls):
-        return cls()
-
-    @classmethod
-    def diagonal(cls, w):
-        if _array(w).ndim != 1:
-            raise DataError("diagonal weights must be a nonnegative vector")
-        return cls(w)
-
-    @classmethod
-    def full(cls, mat):
-        if _array(mat).ndim != 2:
-            raise DataError("full weights must be a square matrix")
-        return cls(mat)
-
 
 def _weighted_rows(features, weights):
     """Rows mapped so that plain inner products realize x^T W x'.

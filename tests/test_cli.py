@@ -42,7 +42,9 @@ def test_estimate_stdout_matches_output(noisy_csv, tmp_path, capsys):
     rc = main(["estimate", "--input", noisy_csv[0], "--variant", "a-tv",
                "--output", str(out)])
     assert rc == 0
-    assert capsys.readouterr().out == out.read_text() + "\n"
+    printed, saved = json.loads(capsys.readouterr().out), json.loads(out.read_text())
+    assert printed["consensus"] is None and saved["consensus"]["n"] > 0  # c3: file only
+    assert printed == {**saved, "consensus": None}
 
 
 def test_estimate_defaults_match_config(noisy_csv, monkeypatch):
@@ -257,7 +259,9 @@ def test_bound_rejects_non_finite_rates(capsys, argv, message):
     (["--scheme", "dirichlet", "--e", "nan"], "avg_rate must be finite, got nan"),
     (["--scheme", "dirichlet", "--r", "nan"], "need a finite r > 0 and K >= 2, got r=nan"),
     (["--scheme", "asymmetric", "--e1", "0.1", "--e2", "nan"], "e2 must be finite, got nan"),
-], ids=["e-nan", "r-nan", "e2-nan"])
+    (["--scheme", "asymmetric", "--e", "0.3"], "--e and --r apply only to --scheme dirichlet"),
+    (["--scheme", "symmetric", "--r", "0.5"], "--e and --r apply only to --scheme dirichlet"),
+], ids=["e-nan", "r-nan", "e2-nan", "asymmetric-e", "symmetric-r"])
 def test_inject_noise_rejects_non_finite_rates(noisy_csv, tmp_path, capsys, flags, message):
     out = tmp_path / "o.csv"
     err = _error_of(capsys, ["inject-noise", "--input", noisy_csv[0], "--output", str(out),

@@ -315,9 +315,10 @@ def test_report_json_has_every_field(tmp_path):
     t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]], p=[0.4, 0.6])
     stats = model_consensus(t)
     report = Report(estimated_t=t, consensus=stats,
-                    weights=tm.SimilarityWeights.diagonal([1.0, 0.5]),
+                    weights=tm.SimilarityWeights([1.0, 0.5]),
                     error=0.01, config_echo=asdict(EstimatorConfig()),
-                    timings={"solve": 0.1}, excluded_rows=2)
+                    timings={"solve": 0.1}, excluded_rows=2,
+                    flags=["label 1 has no c1 mass"])
     path = tmp_path / "r.json"
     tm.save_json(report, str(path))
     obj = json.loads(path.read_text())
@@ -333,6 +334,7 @@ def test_report_json_has_every_field(tmp_path):
                         "seed": 0},
         "timings": {"solve": 0.1},
         "excluded_rows": 2,
+        "flags": ["label 1 has no c1 mass"],
     }
     # the embedded matrix reads back through the one reader
     back = tm.TransitionMatrix.from_json(obj["estimated_t"])

@@ -37,7 +37,6 @@ FLOAT_INPUTS = [
     ("estimate_fmi_per_dim",
      lambda v: tm.estimate_fmi_per_dim([[float(i)] for i in range(19)] + [[v]], [0, 1] * 10),
      "features"),
-    ("estimate_fmi", lambda v: tm.estimate_fmi(list(range(19)) + [v], [0, 1] * 10), "column"),
     ("MIEstimate", lambda v: tm.MIEstimate([0.1, v]), "MI values"),
     ("kl_noise_bias", lambda v: tm.kl_noise_bias(v, RATES), "beta"),
     ("practical_gap.beta_lo", lambda v: tm.practical_gap(RATES, beta_lo=v), "beta_lo"),
@@ -48,9 +47,9 @@ FLOAT_INPUTS = [
      "e1"),
     ("avg_noise_rate_from_r", lambda v: tm.avg_noise_rate_from_r(v, 3), "got r="),
     ("SimilarityWeights", lambda v: tm.SimilarityWeights([1.0, v]), "diagonal weights"),
-    ("SimilarityWeights.diagonal", lambda v: tm.SimilarityWeights.diagonal([1.0, v]),
+    ("SimilarityWeights.diagonal", lambda v: tm.SimilarityWeights([1.0, v]),
      "diagonal weights"),
-    ("SimilarityWeights.full", lambda v: tm.SimilarityWeights.full([[1.0, v], [v, 1.0]]),
+    ("SimilarityWeights.full", lambda v: tm.SimilarityWeights([[1.0, v], [v, 1.0]]),
      "full weights"),
     ("soft_cosine.x", lambda v: tm.soft_cosine([1.0, v], [1.0, 0.0], tm.SimilarityWeights()),
      "^x must"),
@@ -83,8 +82,6 @@ LABEL_INPUTS = [
     ("estimate_fmi_per_dim",
      lambda v: tm.estimate_fmi_per_dim([[float(i)] for i in range(20)], [0, v] + [0, 1] * 9),
      "labels", None),
-    ("estimate_fmi", lambda v: tm.estimate_fmi(list(range(20)), [0, v] + [0, 1] * 9),
-     "labels", None),
     ("NeighborTriplets.rows", lambda v: tm.NeighborTriplets([0, v], [[1, 2], [2, 0]]),
      "row ids", None),
     ("NeighborTriplets.indices", lambda v: tm.NeighborTriplets([0, 1], [[1, 2], [v, 0]]),
@@ -97,11 +94,6 @@ LABEL_IDS = [case[0] for case in LABEL_INPUTS]
 MALFORMED_INPUTS = [
     ("SimilarityWeights.ragged", lambda: tm.SimilarityWeights([[1.0], [1.0, 2.0]]),
      "^full weights must be numeric"),
-    ("SimilarityWeights.diagonal.ragged",
-     lambda: tm.SimilarityWeights.diagonal([[1.0], [1.0, 2.0]]),
-     "^diagonal weights must be a nonnegative vector"),
-    ("SimilarityWeights.full.ragged", lambda: tm.SimilarityWeights.full([[1.0], [1.0, 2.0]]),
-     "^full weights must be a square matrix"),
     ("NeighborTriplets.labels.ragged",
      lambda: tm.NeighborTriplets([0, 1], [[1, 2], [2, 0]]).labels([[0], [1, 0], [0]]),
      "^need one label per row id of the graph"),
@@ -145,6 +137,17 @@ def test_label_input_rejects_out_of_range(call, name, k):
     for bad in (-1, k):
         with pytest.raises(DataError, match=f"^{name} out of range \\[0, {k}\\)$"):
             call(bad)
+
+
+def test_uint64_label_beyond_int64_is_not_wrapped():
+    # a uint64 id of 2**63 must be named as given, not as its int64 wrap -2**63
+    with pytest.raises(DataError,
+                       match=r"^row ids must be below 2\*\*63, got 9223372036854775808$"):
+        tm.NeighborTriplets(np.array([2 ** 63, 0], dtype=np.uint64), [[1, 2], [2, 1]])
+    with pytest.raises(DataError, match=r"^noisy labels out of range \[0, 2\)$"):
+        tm.Dataset(np.zeros((3, 2)), np.array([0, 2 ** 63, 1], dtype=np.uint64), 2)
+    graph = tm.NeighborTriplets(np.array([1, 0], dtype=np.uint64), [[0, 2], [2, 1]])
+    assert graph.rows.dtype == np.int64 and graph.rows.tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("call,message", [case[1:] for case in MALFORMED_INPUTS],

@@ -184,7 +184,7 @@ def _fixed_graph():
     x = rng.normal(size=(150, 4))
     x[[3, 70]] = 0.0
     return get_2nn_triplets(tm.Dataset(x, np.zeros(150, dtype=int), 2),
-                            SimilarityWeights.identity())
+                            SimilarityWeights())
 
 
 _GRAPH = _fixed_graph()

@@ -1,12 +1,13 @@
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import tmest as tm
-from tmest.core import VARIANTS, DataError, EstimatorConfig, Report
-from tmest.infotheory import FDivergenceKind
+from tmest.core import DIVERGENCES, VARIANTS, DataError, EstimatorConfig, Report
 from tmest.noise import NoiseScheme, build_transition, inject_noise
 from tmest.pipeline import estimate
 
@@ -24,7 +25,7 @@ def test_variant_parsing():
                         "x-tv": (False, "tv"), "a-kl": (True, "kl"),
                         "a-tv": (True, "tv")}
     divergences = {divergence for _, divergence in VARIANTS.values()} - {None}
-    assert divergences <= {kind.value for kind in FDivergenceKind}
+    assert divergences <= set(DIVERGENCES)
     for bad in ("hoc", "b-kl", "x-js", "a-", ""):
         with pytest.raises(DataError):
             EstimatorConfig(variant=bad)
@@ -154,3 +155,28 @@ def test_estimate_deterministic():
     np.testing.assert_array_equal(a.estimated_t.t, b.estimated_t.t)
     assert a.error == b.error
 
+
+def test_unobserved_label_is_flagged():
+    # two blobs read as K=3: label 2 is never seen, yet the solve converges
+    data = two_blob_dataset(0, n=4000)
+    t = build_transition(NoiseScheme("binary", e1=0.2, e2=0.2), 2)
+    noisy = inject_noise(data, t, seed=0)
+    report = estimate(tm.Dataset(noisy.features, noisy.noisy_labels, 3), EstimatorConfig())
+    assert report.converged
+    assert report.flags == ["label 2 has no c1 mass", "T row 2: diagonal is not the row maximum"]
+    assert estimate(noisy, EstimatorConfig()).flags == []
+
+
+def _perfbench_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["blobs-atv-20k", "classes10-plain-10k"])
+def test_reference_inputs_are_not_flagged(name, tmp_path):
+    workload = _perfbench_workloads()[name]
+    inp = workload.prepare([0, 0], workload.n, str(tmp_path))  # the benchmark's reference job
+    assert estimate(inp.data, inp.config).flags == []

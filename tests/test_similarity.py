@@ -36,13 +36,13 @@ W3 = np.array([[1.0, -0.2, -0.5], [-0.2, 1.0, 0.5], [-0.5, 0.5, 1.0]])
 
 
 def test_hard_cosine_golden_values():
-    w = SimilarityWeights.identity()
+    w = SimilarityWeights()
     assert soft_cosine(X1, X3, w) == pytest.approx(0.7268, abs=5e-4)
     assert soft_cosine(X2, X3, w) == pytest.approx(0.6852, abs=5e-4)
 
 
 def test_diagonal_golden_values():
-    w = SimilarityWeights.diagonal([1.0, 1.0, 0.1])
+    w = SimilarityWeights([1.0, 1.0, 0.1])
     assert soft_cosine(X1, X3, w) == pytest.approx(0.6383, abs=5e-4)
     assert soft_cosine(X2, X3, w) == pytest.approx(0.7695, abs=5e-4)
     # down-weighting the third axis flips which point is nearer to X3
@@ -50,7 +50,7 @@ def test_diagonal_golden_values():
 
 
 def test_full_matrix_golden_values():
-    w = SimilarityWeights.full(W3)
+    w = SimilarityWeights(W3)
     assert soft_cosine(X1, X3, w) == pytest.approx(0.7519, abs=5e-4)
     assert soft_cosine(X2, X3, w) == pytest.approx(0.8522, abs=5e-4)
     assert soft_cosine(X1, X3, w) < soft_cosine(X2, X3, w)
@@ -58,7 +58,7 @@ def test_full_matrix_golden_values():
 
 def test_identity_matches_plain_cosine():
     rng = np.random.default_rng(0)
-    w = SimilarityWeights.identity()
+    w = SimilarityWeights()
     for _ in range(20):
         x, y = rng.normal(size=(2, 6))
         expect = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
@@ -66,25 +66,25 @@ def test_identity_matches_plain_cosine():
 
 
 def test_scale_invariance():
-    w = SimilarityWeights.full(W3)
+    w = SimilarityWeights(W3)
     base = soft_cosine(X1, X3, w)
     assert soft_cosine(3.7 * X1, X3, w) == pytest.approx(base, abs=1e-12)
     assert soft_cosine(X1, 0.01 * X3, w) == pytest.approx(base, abs=1e-12)
 
 
 def test_self_similarity_is_one():
-    for w in (SimilarityWeights.identity(),
-              SimilarityWeights.diagonal([2.0, 1.0, 0.5]),
-              SimilarityWeights.full(W3)):
+    for w in (SimilarityWeights(),
+              SimilarityWeights([2.0, 1.0, 0.5]),
+              SimilarityWeights(W3)):
         assert soft_cosine(X3, X3, w) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_degenerate_vector_rejected():
     z = np.zeros(3)
     with pytest.raises(DataError, match="degenerate"):
-        soft_cosine(z, X1, SimilarityWeights.identity())
+        soft_cosine(z, X1, SimilarityWeights())
     # nonzero vector killed by a zero weight
-    w = SimilarityWeights.diagonal([0.0, 0.0, 1.0])
+    w = SimilarityWeights([0.0, 0.0, 1.0])
     with pytest.raises(DataError, match="degenerate"):
         soft_cosine(np.array([1.0, 1.0, 0.0]), X1, w)
 
@@ -93,57 +93,53 @@ def test_asymmetric_full_matrix_rejected():
     bad = W3.copy()
     bad[0, 1] = 0.9
     with pytest.raises(DataError, match="symmetric"):
-        SimilarityWeights.full(bad)
+        SimilarityWeights(bad)
 
 
 def test_indefinite_full_matrix_rejected():
     with pytest.raises(DataError, match="positive semidefinite"):
-        SimilarityWeights.full([[1.0, 2.0], [2.0, 1.0]])
-    SimilarityWeights.full([[1.0, 1.0], [1.0, 1.0]])  # singular PSD is fine
+        SimilarityWeights([[1.0, 2.0], [2.0, 1.0]])
+    SimilarityWeights([[1.0, 1.0], [1.0, 1.0]])  # singular PSD is fine
 
 
 def test_weight_form_follows_shape():
     assert [f.name for f in fields(SimilarityWeights)] == ["w"]
-    assert SimilarityWeights.identity().form == "identity"
-    assert SimilarityWeights.identity().w is None
-    assert SimilarityWeights.diagonal([1.0, 0.5]).form == "diagonal"
-    assert SimilarityWeights.full(W3).form == "full"
+    assert SimilarityWeights().form == "identity"
+    assert SimilarityWeights().w is None
+    assert SimilarityWeights([1.0, 0.5]).form == "diagonal"
+    assert SimilarityWeights(W3).form == "full"
     assert SimilarityWeights(np.ones(3)).form == "diagonal"
-    with pytest.raises(DataError, match="diagonal weights must be a nonnegative vector"):
-        SimilarityWeights.diagonal(W3)
     with pytest.raises(DataError, match=r"diagonal weights must be finite, got nan at index \[1\]"):
-        SimilarityWeights.diagonal([1.0, np.nan])
+        SimilarityWeights([1.0, np.nan])
     with pytest.raises(DataError, match="full weights must be a square matrix"):
-        SimilarityWeights.full([1.0, 0.5])
-    with pytest.raises(DataError, match="full weights must be a square matrix"):
-        SimilarityWeights.full(np.ones((2, 3)))
+        SimilarityWeights(np.ones((2, 3)))
     with pytest.raises(DataError, match="square matrix"):
         SimilarityWeights(np.ones((2, 2, 2)))
 
 
-@pytest.mark.parametrize("build,w,match", [
-    (SimilarityWeights.diagonal, [1.0, np.inf], "diagonal weights must be finite"),
-    (SimilarityWeights.diagonal, [1.0, np.nan], "diagonal weights must be finite"),
-    (SimilarityWeights.full, [[1.0, np.inf], [np.inf, 1.0]], "full weights must be finite"),
-    (SimilarityWeights.full, [[1.0, np.nan], [np.nan, 1.0]], "full weights must be finite"),
+@pytest.mark.parametrize("w,match", [
+    ([1.0, np.inf], "diagonal weights must be finite"),
+    ([1.0, np.nan], "diagonal weights must be finite"),
+    ([[1.0, np.inf], [np.inf, 1.0]], "full weights must be finite"),
+    ([[1.0, np.nan], [np.nan, 1.0]], "full weights must be finite"),
 ], ids=["diagonal-inf", "diagonal-nan", "full-inf", "full-nan"])
-def test_non_finite_weights_rejected(build, w, match):
+def test_non_finite_weights_rejected(w, match):
     with pytest.raises(DataError, match=match):
-        build(w)
+        SimilarityWeights(w)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DataError):
-        soft_cosine(X1, X3, SimilarityWeights.diagonal([1.0, 1.0]))
+        soft_cosine(X1, X3, SimilarityWeights([1.0, 1.0]))
     with pytest.raises(DataError, match=r"one length, got shapes \(3,\) and \(2,\)"):
-        soft_cosine(X1, X3[:2], SimilarityWeights.identity())
+        soft_cosine(X1, X3[:2], SimilarityWeights())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_soft_cosine_rejects_non_finite_vectors(bad):
     for x, x2 in ((np.array([1.0, bad, 0.0]), X3), (X1, np.array([bad, 0.0, 1.0]))):
         with pytest.raises(DataError, match=f"x2? must be finite, got {bad} at index"):
-            soft_cosine(x, x2, SimilarityWeights.identity())
+            soft_cosine(x, x2, SimilarityWeights())
 
 
 def _reference_sims(x, weights):
@@ -176,8 +172,8 @@ def test_2nn_matches_reference(seed, n, d):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     data = tm.Dataset(x, rng.integers(0, 3, n), 3)
-    for weights in (SimilarityWeights.identity(),
-                    SimilarityWeights.diagonal(rng.uniform(0.1, 1.0, d))):
+    for weights in (SimilarityWeights(),
+                    SimilarityWeights(rng.uniform(0.1, 1.0, d))):
         trip = get_2nn_triplets(data, weights)
         np.testing.assert_array_equal(trip.indices, _reference_2nn(x, weights))
         labels = trip.labels(data.noisy_labels)
@@ -191,7 +187,7 @@ def test_2nn_full_weight_matches_reference():
     x = rng.normal(size=(n, d))
     data = tm.Dataset(x, rng.integers(0, 2, n), 2)
     r = rng.normal(size=(d, d))
-    weights = SimilarityWeights.full(r.T @ r + 0.1 * np.eye(d))
+    weights = SimilarityWeights(r.T @ r + 0.1 * np.eye(d))
     trip = get_2nn_triplets(data, weights)
     np.testing.assert_array_equal(trip.indices, _reference_2nn(x, weights))
 
@@ -204,7 +200,7 @@ def test_2nn_tie_breaks_to_lower_index():
     which = rng.integers(0, 5, 300)
     x = base[which]
     data = tm.Dataset(x, rng.integers(0, 2, 300), 2)
-    w = SimilarityWeights.identity()
+    w = SimilarityWeights()
     trip = get_2nn_triplets(data, w)
     # every duplicated row's neighbors are the two lowest other duplicates
     for i in range(300):
@@ -216,7 +212,7 @@ def test_2nn_tie_breaks_to_lower_index():
 def test_2nn_small_n_edge():
     x = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
     data = tm.Dataset(x, np.array([0, 0, 1]), 2)
-    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    trip = get_2nn_triplets(data, SimilarityWeights())
     assert trip.indices[0].tolist() == [1, 2]
     assert trip.labels(data.noisy_labels)[0].tolist() == [0, 0, 1]
 
@@ -262,11 +258,11 @@ def test_neighbor_triplets_read_labels_through_the_graph():
 
 def _weights_of(form, rng, d):
     if form == "identity":
-        return SimilarityWeights.identity()
+        return SimilarityWeights()
     if form == "diagonal":
-        return SimilarityWeights.diagonal(rng.uniform(0.1, 1.0, d))
+        return SimilarityWeights(rng.uniform(0.1, 1.0, d))
     r = rng.normal(size=(d, d))
-    return SimilarityWeights.full(r.T @ r + 0.1 * np.eye(d))
+    return SimilarityWeights(r.T @ r + 0.1 * np.eye(d))
 
 
 def test_2nn_excludes_zero_norm_rows():
@@ -290,7 +286,7 @@ def test_2nn_zero_weight_excludes_row():
     # a nonzero row that lives only on a zero-weight axis is degenerate too
     x = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.5, 0.5], [0.0, 2.0]])
     data = tm.Dataset(x, np.array([0, 0, 1, 1, 0]), 2)
-    trip = get_2nn_triplets(data, SimilarityWeights.diagonal([1.0, 0.0]))
+    trip = get_2nn_triplets(data, SimilarityWeights([1.0, 0.0]))
     assert trip.rows.tolist() == [0, 1, 3]
     assert trip.indices.tolist() == [[1, 3], [0, 3], [0, 1]]
     # rows that differ only on a zero-weight axis have one weighted unit row:
@@ -301,9 +297,9 @@ def test_2nn_zero_weight_excludes_row():
     which = rng.integers(0, g, n)
     x = np.column_stack([base[which], rng.normal(size=n)])
     w = rng.uniform(0.1, 1.0, 3)
-    expect = _stable_top2(_reference_sims(base, SimilarityWeights.diagonal(w))[which][:, which])
+    expect = _stable_top2(_reference_sims(base, SimilarityWeights(w))[which][:, which])
     trip = get_2nn_triplets(tm.Dataset(x, rng.integers(0, 2, n), 2),
-                            SimilarityWeights.diagonal(np.append(w, 0.0)))
+                            SimilarityWeights(np.append(w, 0.0)))
     np.testing.assert_array_equal(trip.rows, np.arange(n))
     np.testing.assert_array_equal(trip.indices, expect)
 
@@ -314,7 +310,7 @@ def test_2nn_too_few_nondegenerate_rows():
     x[3] = [0.0, 1.0, 0.0]
     data = tm.Dataset(x, np.zeros(5, dtype=int), 2)
     with pytest.raises(DataError, match="at least 3 rows with nonzero weighted norm"):
-        get_2nn_triplets(data, SimilarityWeights.identity())
+        get_2nn_triplets(data, SimilarityWeights())
 
 
 def _dyadic_case(rng, n, d, distinct, form):
@@ -331,11 +327,11 @@ def _dyadic_case(rng, n, d, distinct, form):
     diag = np.ones(d) if form == "identity" else 4.0 ** rng.integers(0, 2, d)
     if form == "full":
         perm = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
-        weights = SimilarityWeights.full(perm.T @ np.diag(diag) @ perm)
+        weights = SimilarityWeights(perm.T @ np.diag(diag) @ perm)
         w = weights.w
     else:
-        weights = (SimilarityWeights.identity() if form == "identity"
-                   else SimilarityWeights.diagonal(diag))
+        weights = (SimilarityWeights() if form == "identity"
+                   else SimilarityWeights(diag))
         w = np.diag(diag)
     cand = rng.integers(-1, 2, size=(4000, d)).astype(float)
     sq = np.einsum("ij,jk,ik->i", cand, w, cand)
@@ -410,9 +406,9 @@ def test_2nn_near_tie_decided_in_float64():
     s1, s2 = unit[0] @ unit[1], unit[0] @ unit[2]
     assert 0.5e-9 < s2 - s1 < 2e-9 and np.float32(s1) == np.float32(s2)
     data = tm.Dataset(x, rng.integers(0, 2, len(x)), 2)
-    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    trip = get_2nn_triplets(data, SimilarityWeights())
     assert trip.indices[0].tolist() == [2, 1]
-    np.testing.assert_array_equal(trip.indices, _reference_2nn(x, SimilarityWeights.identity()))
+    np.testing.assert_array_equal(trip.indices, _reference_2nn(x, SimilarityWeights()))
 
 
 def test_2nn_second_slot_tie_decided_in_float64():
@@ -432,9 +428,9 @@ def test_2nn_second_slot_tie_decided_in_float64():
     for k, i in enumerate(others):
         x[i, 1 + k % 15] = 1.0 if k < 15 else -1.0
     data = tm.Dataset(x, np.arange(32) % 2, 2)
-    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    trip = get_2nn_triplets(data, SimilarityWeights())
     assert trip.indices[0].tolist() == [5, 2]
-    np.testing.assert_array_equal(trip.indices, _reference_2nn(x, SimilarityWeights.identity()))
+    np.testing.assert_array_equal(trip.indices, _reference_2nn(x, SimilarityWeights()))
 
 
 @settings(max_examples=15, deadline=None)
@@ -510,7 +506,7 @@ def test_2nn_searches_distinct_rows_only(monkeypatch):
         return _top3_candidates(sims)
 
     monkeypatch.setattr(similarity, "_top3_candidates", spy)
-    weights = SimilarityWeights.diagonal(rng.uniform(0.1, 1.0, d))
+    weights = SimilarityWeights(rng.uniform(0.1, 1.0, d))
     trip = get_2nn_triplets(tm.Dataset(base[which], rng.integers(0, 2, n), 2), weights)
     assert widths and set(widths) == {g}
     # `_stable_top2` of the N x N similarities, built from the columns that can
@@ -535,13 +531,13 @@ def test_distinct_rows_exact_under_hash_collisions(monkeypatch):
     expect_first = np.sort(seen)
     expect_inverse = np.searchsorted(expect_first, seen[inv])
     data = tm.Dataset(x, rng.integers(0, 2, 400), 2)
-    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    trip = get_2nn_triplets(data, SimilarityWeights())
     for _ in range(2):
         first, inverse = _distinct_rows(x)
         np.testing.assert_array_equal(first, expect_first)
         np.testing.assert_array_equal(inverse, expect_inverse)
         np.testing.assert_array_equal(
-            get_2nn_triplets(data, SimilarityWeights.identity()).indices, trip.indices)
+            get_2nn_triplets(data, SimilarityWeights()).indices, trip.indices)
         # every row hashing alike forces the exact fallback
         monkeypatch.setattr(similarity, "_row_hash", lambda bits: np.zeros(len(bits), np.uint64))
 
@@ -555,14 +551,14 @@ def test_score_buffer_bounded_by_bytes(monkeypatch):
     n = 257
     x = rng.normal(size=(n, 4))[rng.integers(0, n, n)]
     data = tm.Dataset(x, rng.integers(0, 2, n), 2)
-    expect = get_2nn_triplets(data, SimilarityWeights.identity())
+    expect = get_2nn_triplets(data, SimilarityWeights())
     monkeypatch.setattr(similarity, "_BUFFER_BYTES", 3 * 4 * n)
     assert _block_rows(n, 4) == 3
-    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    trip = get_2nn_triplets(data, SimilarityWeights())
     np.testing.assert_array_equal(trip.indices, expect.indices)
     # an infinite score bound sends every group to the float64 pass
     monkeypatch.setattr(similarity, "_score_bound", lambda d: np.inf)
-    trip = get_2nn_triplets(data, SimilarityWeights.identity())
+    trip = get_2nn_triplets(data, SimilarityWeights())
     np.testing.assert_array_equal(trip.indices, expect.indices)
 
 
@@ -589,7 +585,7 @@ def test_2nn_working_set_bounded():
     rng = np.random.default_rng(10)
     n, d = 20_000, 40
     x = rng.normal(size=(n, d))
-    weights = SimilarityWeights.diagonal(rng.uniform(0.1, 1.0, d))
+    weights = SimilarityWeights(rng.uniform(0.1, 1.0, d))
     copied = x.copy()
     copied[-1000:] = x[rng.integers(0, n - 1000, 1000)]
     for feats in (x, copied):
@@ -605,7 +601,7 @@ def test_2nn_working_set_bounded():
 
 def test_clusterability_separated_blobs():
     data = two_blob_dataset(0, n=600, sep=4.0)
-    rate = clusterability_rate(data, SimilarityWeights.identity())
+    rate = clusterability_rate(data, SimilarityWeights())
     assert rate > 0.95
 
 
@@ -613,4 +609,4 @@ def test_clusterability_requires_clean_labels():
     rng = np.random.default_rng(5)
     data = tm.Dataset(rng.normal(size=(20, 3)), rng.integers(0, 2, 20), 2)
     with pytest.raises(DataError):
-        clusterability_rate(data, SimilarityWeights.identity())
+        clusterability_rate(data, SimilarityWeights())

@@ -60,6 +60,12 @@ def _cmd_bound(args):
 def _cmd_inject_noise(args):
     if args.scheme != "dirichlet" and (args.e is not None or args.r is not None):
         raise DataError("--e and --r apply only to --scheme dirichlet")
+    if args.scheme == "dirichlet" and (args.e1 is not None or args.e2 is not None):
+        raise DataError("--e1 and --e2 apply only to --scheme symmetric and asymmetric")
+    if args.scheme == "symmetric" and args.e2 is not None:
+        raise DataError("--e2 applies only to --scheme asymmetric; "
+                        "--scheme symmetric reads --e1 for both classes")
+    e1, e2 = (0.0 if e is None else e for e in (args.e1, args.e2))
     data = load_dataset(args.input, k=args.k)
     if data.clean_labels is None:
         # treat the noisy column as clean ground truth to corrupt
@@ -70,9 +76,9 @@ def _cmd_inject_noise(args):
         e = args.e if args.e is not None else avg_noise_rate_from_r(args.r, data.k)
         scheme = NoiseScheme("dirichlet", avg_rate=e, seed=args.seed)
     elif args.scheme == "symmetric":
-        scheme = NoiseScheme("binary", e1=args.e1, e2=args.e1, seed=args.seed)
+        scheme = NoiseScheme("binary", e1=e1, e2=e1, seed=args.seed)
     else:
-        scheme = NoiseScheme("binary", e1=args.e1, e2=args.e2, seed=args.seed)
+        scheme = NoiseScheme("binary", e1=e1, e2=e2, seed=args.seed)
     t = build_transition(scheme, data.k)
     noisy = inject_noise(data, t, seed=args.seed)
     save_dataset(noisy, args.output)
@@ -146,8 +152,9 @@ def build_parser():
     pn.add_argument("--output", required=True)
     pn.add_argument("--scheme", required=True,
                     choices=["symmetric", "asymmetric", "dirichlet"])
-    pn.add_argument("--e1", type=float, default=0.0)
-    pn.add_argument("--e2", type=float, default=0.0)
+    pn.add_argument("--e1", type=float, default=None, help="noise rate of class 0 (default 0)")
+    pn.add_argument("--e2", type=float, default=None,
+                    help="noise rate of class 1, asymmetric only (default 0)")
     rate = pn.add_mutually_exclusive_group()
     rate.add_argument("--e", type=float, default=None)
     rate.add_argument("--r", type=float, default=None)

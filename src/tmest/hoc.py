@@ -24,6 +24,8 @@ _NORM_ATOL = 1e-9
 _RANK_RTOL = 1e-12
 # entries of the spectral start are clipped here, so EM can move every one
 _START_FLOOR = 1e-12
+# largest K whose c3 is built: K^3 float64 cells, 16 MiB at K = 128
+_MAX_K = 128
 
 
 @dataclass
@@ -55,9 +57,17 @@ class ConsensusStatistics:
         return self.c3.sum(axis=2)
 
 
+def _check_c3_size(k):
+    """Reject a K above `_MAX_K` before a K x K x K c3 is built."""
+    if k > _MAX_K:
+        raise DataError(f"K = {k} classes is more than the {_MAX_K} supported: "
+                        f"c3 would hold K^3 = {k ** 3} cells")
+
+
 def count_consensus(labels, k):
     """Empirical frequencies of the rows (y_n, y_n1, y_n2) of an (M, 3) label array."""
     k = _integer(k, "k", 2)
+    _check_c3_size(k)
     y = _int_labels(labels, "triplet labels", k)
     if y.ndim != 2 or y.shape[1] != 3:
         raise DataError(f"triplet labels must have shape (M, 3), got {y.shape}")
@@ -80,10 +90,12 @@ def model_consensus(t, p=None):
     `p` defaults to the matrix's own prior."""
     if p is None and t.p is None:
         raise DataError("model_consensus needs a prior p: the matrix has none")
+    _check_c3_size(t.k)
     p = _reals(t.p if p is None else p, "prior p", frozen=False)
     if p.shape != (t.k,):
         raise DataError(f"prior p must have length K={t.k}, got shape {p.shape}")
-    return ConsensusStatistics(_moments(t.t, p)[0], n=0)
+    t = TransitionMatrix(t.k, t.t, p)  # the matrix's own prior check
+    return ConsensusStatistics(_moments(t.t, t.p)[0], n=0)
 
 
 @dataclass

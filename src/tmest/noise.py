@@ -29,8 +29,12 @@ class NoiseScheme:
         if self.kind == "binary":
             if k != 2:
                 raise DataError("binary scheme requires K = 2")
+            if self.avg_rate != 0:
+                raise DataError("the binary scheme reads e1 and e2, not avg_rate")
             NoiseRatePair(self.e1, self.e2)
         elif self.kind == "dirichlet":
+            if self.e1 != 0 or self.e2 != 0:
+                raise DataError("the dirichlet scheme reads avg_rate, not e1 or e2")
             if self.avg_rate + JITTER >= (k - 1) / k:
                 raise DataError("average noise rate too high for diagonal dominance")
             if self.avg_rate - JITTER < 0:

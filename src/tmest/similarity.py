@@ -1,22 +1,26 @@
 """Weighted (soft) cosine similarity and exact 2-nearest-neighbor retrieval.
 
-The 2-NN search is brute force over the G distinct unit rows, O(G^2 d), and
-its neighbor sets are those of float64 scores, exact and deterministic.
-Every row is weighted and normalized once.  Rows with zero weighted norm
-have no defined similarity; they are left out as queries and as candidates.
-A copy is a row whose weighted unit row is bitwise equal to another's: an
-exact duplicate, a power-of-two scaling, or a row that differs only on
-zero-weight axes.  Other positive scalings are copies only where the float64
-weighting and normalization round them to the same bits.  The copies of one
-unit row form a group and share one score column.  A float32 pass scores
-blocks of at most `_CHUNK` groups against every group; groups whose neighbor
-slots those scores decide beyond a proven bound on the float32 rounding
-error (`_score_bound`, `_sure`) keep them, and the rest (near ties) are
-scored again in float64.  One expansion (`_expand`) then maps groups back to
-rows: equal float64 similarities break toward the lower row index, and
-copies tie by construction.  Score blocks hold at most `_CHUNK` rows and
-`_BUFFER_BYTES` bytes.  The search returns a graph of row ids that holds no
-labels; `NeighborTriplets.labels(y)` reads any label vector through it.
+The neighbor count m is one constant, `_NEIGHBORS` = 2: HOC's triplet is a
+row and its two nearest rows.  The search is brute force over the G
+distinct unit rows, O(G^2 d), and its neighbor sets are those of float64
+scores, exact and deterministic.  Every row is weighted and normalized
+once.  Rows with zero weighted norm have no defined similarity; they are
+left out as queries and as candidates.  A copy is a row whose weighted
+unit row is bitwise equal to another's: an exact duplicate, a power-of-two
+scaling, or a row that differs only on zero-weight axes.  Other positive
+scalings are copies only where the float64 weighting and normalization
+round them to the same bits.  The copies of one unit row form a group and
+share one score column.  A float32 pass scores blocks of at most `_CHUNK`
+groups against every group and gives each group an entry table of m + 2
+(group, score) entries: the group itself at its self score, then its best
+m + 1 other groups.  Groups whose entries decide the m neighbor slots
+beyond a proven bound on the float32 rounding error (`_score_bound`,
+`_sure`) keep them, and the rest (near ties) are scored again in float64.
+One expansion (`_expand`) then maps groups back to rows: equal float64
+similarities break toward the lower row index, and copies tie by
+construction.  Score blocks hold at most `_CHUNK` rows and `_BUFFER_BYTES`
+bytes.  The search returns a graph of row ids that holds no labels;
+`NeighborTriplets.labels(y)` reads any label vector through it.
 """
 
 from dataclasses import dataclass
@@ -25,8 +29,9 @@ import numpy as np
 
 from .core import DataError, _array, _int_labels, _reals
 
+_NEIGHBORS = 2              # neighbor slots of each query row
 _CHUNK = 128                # most query rows per score block
-_GROUPS = 8                 # members of each column group in `_top3_candidates`
+_GROUPS = 8                 # members of each column group in `_top_candidates`
 _BUFFER_BYTES = 128 << 20   # most bytes per score block
 
 
@@ -95,22 +100,25 @@ def soft_cosine(x, x2, weights):
 
 @dataclass
 class NeighborTriplets:
-    """A 2-NN graph: each query row's id and the ids of its two nearest rows."""
+    """A neighbor graph: each query row's id and the ids of its `_NEIGHBORS`
+    nearest rows."""
 
     rows: np.ndarray        # (M,) int: query row ids
-    indices: np.ndarray     # (M, 2) int: row ids of the two neighbors
+    indices: np.ndarray     # (M, _NEIGHBORS) int: row ids of the neighbors, nearest first
 
     def __post_init__(self):
         self.rows = _int_labels(self.rows, "row ids")
         self.indices = _int_labels(self.indices, "neighbor indices")
-        if self.rows.ndim != 1 or self.indices.shape != (self.rows.size, 2):
+        if self.rows.ndim != 1 or self.indices.shape != (self.rows.size, _NEIGHBORS):
             raise DataError("need one (row id, index pair) per query row")
-        if np.any(self.indices == self.rows[:, None]) \
-                or np.any(self.indices[:, 0] == self.indices[:, 1]):
+        first, second = np.triu_indices(_NEIGHBORS + 1, 1)  # every pair of a row's ids
+        ids = np.column_stack([self.rows, self.indices])
+        if np.any(ids[:, first] == ids[:, second]):
             raise DataError("neighbor indices must be distinct from the row and each other")
 
     def labels(self, y):
-        """(M, 3) labels (y_n, y_n1, y_n2) of each query row and its neighbors, read from y."""
+        """(M, `_NEIGHBORS` + 1) labels (y_n, y_n1, y_n2, ...) of each query row
+        and its neighbors, read from y."""
         y, ids = _array(y), np.column_stack([self.rows, self.indices])
         if y.ndim != 1 or (ids.size and ids.max() >= y.size):
             raise DataError(f"need one label per row id of the graph, got shape {y.shape}")
@@ -183,62 +191,53 @@ def _distinct_rows(x):
     return np.sort(first), rank[inverse.ravel()]
 
 
-def _lowest_members(inverse, groups):
-    """(groups, 3) array of the three lowest rows of each group, -1 past its size."""
-    members = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=groups)
-    starts = np.cumsum(counts) - counts
-    low = np.full((groups, 3), -1, dtype=np.int64)
-    for k in range(3):
-        has = counts > k
-        low[has, k] = members[starts[has] + k]
-    return low
+def _top_candidates(sims):
+    """Columns of each row of `sims` among which lie the row's n = `_NEIGHBORS` + 1
+    largest values.
 
-
-def _top3_candidates(sims):
-    """Columns of each row of `sims` among which lie the row's three largest values.
-
-    The first 8m columns, m = width // 8, form m strided groups of 8: column j
-    is in group j mod m.  One pass takes each group's maximum, and three
-    masked ``argmax`` passes pick the three groups with the largest maxima.
-    Their 24 members and the fewer than 8 columns past 8m are the candidates.
-    Whatever the order of ties, the three largest values of a row lie among
-    them: a value in any other group is at most each chosen group's maximum,
-    and those are three distinct candidates.  Rows narrower than 24 columns
-    keep every column.
+    The first 8w columns, w = width // 8, form w strided groups of 8: column j
+    is in group j mod w.  One pass takes each group's maximum, and n masked
+    ``argmax`` passes pick the n groups with the largest maxima.  Their 8n
+    members and the fewer than 8 columns past 8w are the candidates.
+    Whatever the order of ties, the n largest values of a row lie among them:
+    a value in any other group is at most each chosen group's maximum, and
+    those are n distinct candidates.  Rows narrower than 8n columns keep
+    every column.
     """
     b, width = sims.shape
-    m = width // _GROUPS
-    if m < 3:
+    w, n = width // _GROUPS, _NEIGHBORS + 1
+    if w < n:
         return np.broadcast_to(np.arange(width), (b, width))
-    peak = sims[:, :_GROUPS * m].reshape(b, _GROUPS, m).max(axis=1)
+    peak = sims[:, :_GROUPS * w].reshape(b, _GROUPS, w).max(axis=1)
     q = np.arange(b)
-    best = np.empty((b, 3), dtype=np.intp)
-    for k in range(3):
+    best = np.empty((b, n), dtype=np.intp)
+    for k in range(n):
         j = peak.argmax(axis=1)
         # where every group left peaks at -inf, argmax may return a taken
-        # group; any free group serves there, and one of groups 0-2 is free
+        # group; any free group serves there, and one of groups 0 to n-1 is free
         again = (best[:, :k] == j[:, None]).any(axis=1)
         if again.any():
-            j[again] = np.argmin((best[again, :k, None] == np.arange(3)).any(axis=1), axis=1)
+            j[again] = np.argmin((best[again, :k, None] == np.arange(n)).any(axis=1), axis=1)
         best[:, k] = j
         peak[q, j] = -np.inf
-    members = (best[:, :, None] + m * np.arange(_GROUPS)).reshape(b, 3 * _GROUPS)
-    tail = np.broadcast_to(np.arange(_GROUPS * m, width), (b, width - _GROUPS * m))
+    members = (best[:, :, None] + w * np.arange(_GROUPS)).reshape(b, n * _GROUPS)
+    tail = np.broadcast_to(np.arange(_GROUPS * w, width), (b, width - _GROUPS * w))
     return np.concatenate([members, tail], axis=1)
 
 
 def _best_groups(x, queries, narrow):
-    """Each query group's self score, best two other groups and top three scores.
+    """The entry table of each query group: (group, score), each (Q, m + 2).
 
-    Rows of x are the distinct unit rows.  A group's own column gives its self
-    score and is then masked.  Two masked ``argmax`` passes and a ``max`` give
-    the rest: with `narrow` over the columns `_top3_candidates` keeps, else
-    full width, so that ties go to the lower group and so the lower row.
+    Rows of x are the distinct unit rows, and m = `_NEIGHBORS`.  Column 0 is
+    the query group at its self score; its column is then masked, and
+    columns 1 to m + 1 are the best other groups and their scores from
+    m + 1 masked ``argmax`` passes: with `narrow` over the columns
+    `_top_candidates` keeps, else full width, so that ties go to the lower
+    group and so the lower row.  No other group scores above column m + 1.
     """
-    self_score = np.empty(queries.size)
-    best = np.empty((queries.size, 2), dtype=np.int64)
-    top = np.empty((queries.size, 3))
+    group = np.empty((queries.size, _NEIGHBORS + 2), dtype=np.int64)
+    score = np.empty((queries.size, _NEIGHBORS + 2))
+    group[:, 0] = queries
     step = _block_rows(x.shape[0], x.itemsize)
     buf = np.empty((min(step, queries.size), x.shape[0]), dtype=x.dtype)
     for start in range(0, queries.size, step):
@@ -246,99 +245,108 @@ def _best_groups(x, queries, narrow):
         g = queries[start:stop]
         sims = np.matmul(x[g], x.T, out=buf[:stop - start])
         q = np.arange(stop - start)
-        self_score[start:stop] = sims[q, g]
+        score[start:stop, 0] = sims[q, g]
         sims[q, g] = -np.inf
-        cols = _top3_candidates(sims) if narrow else None
+        cols = _top_candidates(sims) if narrow else None
         vals = sims if cols is None else np.take_along_axis(sims, cols, axis=1)
-        for k in range(2):
+        for k in range(1, _NEIGHBORS + 2):
             j = vals.argmax(axis=1)
-            best[start:stop, k] = j if cols is None else cols[q, j]
-            top[start:stop, k] = vals[q, j]
+            group[start:stop, k] = j if cols is None else cols[q, j]
+            score[start:stop, k] = vals[q, j]
             vals[q, j] = -np.inf
-        top[start:stop, 2] = vals.max(axis=1)
-    return self_score, best, top
+    return group, score
 
 
-def _sure(self_score, best, top, counts, margin):
-    """Groups whose scores decide both neighbor slots of every member.
+def _sure(group, score, counts, margin):
+    """Query groups whose entry scores decide all neighbor slots of every member.
 
-    A member's candidates form entries: its own copies at the self score, with
-    counts - 1 slots; the best other group at top[:, 0], with its size in
-    slots; the second at top[:, 1]; and top[:, 2], which no other group
-    exceeds.  Sorted by score, the first entry fills both neighbor slots if it
-    has two slots, else the first two entries fill one each.  A group is sure
-    when each filling entry beats the next by more than `margin`.
+    Each entry of a member's table offers slots: its own group counts - 1
+    (its other copies), every other group its size.  Sorted by score, an
+    entry fills slots when the entries before it offer fewer than
+    `_NEIGHBORS` slots.  A group is sure when each filling entry beats the
+    next by more than `margin`.
 
     Sound for float32 scores at margin = 2 * `_score_bound`: each float32
     score is within the bound of its float64 score, and no group past the
-    entries scores above top[:, 2] in float32 (`_top3_candidates` gives the
-    exact top three).  So in float64 too each filling entry strictly beats
-    every later entry and every other group, and the first beats the second:
-    the same entries fill the slots in the same order, and within an entry
-    the lower-index rule takes the same rows whichever scores feed `_expand`.
+    table scores above its last entry in float32 (`_top_candidates` holds
+    the exact top `_NEIGHBORS` + 1).  So in float64 too each filling entry
+    strictly beats every later entry and every other group: the same
+    entries fill the slots in the same order, and within an entry the
+    lower-index rule takes the same rows whichever scores feed `_expand`.
     """
-    score = np.column_stack([np.where(counts > 1, self_score, -np.inf), top])
+    slots = counts[group]
+    slots[:, 0] -= 1
+    score = np.where(slots > 0, score, -np.inf)  # a lone row has no copies to offer
     order = np.argsort(-score, axis=1, kind="stable")
     score = np.take_along_axis(score, order, axis=1)
-    # top is sorted, so the first entry is the own copies or the best group
-    slots = np.where(order[:, 0] == 0, counts - 1, counts[best[:, 0]])
+    slots = np.take_along_axis(slots, order, axis=1)
+    fills = np.cumsum(slots, axis=1) - slots < _NEIGHBORS
     with np.errstate(invalid="ignore"):  # -inf - -inf past the last group
-        beats = score[:, :2] - score[:, 1:3] > margin
-    return beats[:, 0] & ((slots > 1) | beats[:, 1])
+        beats = score[:, :-1] - score[:, 1:] > margin
+    return np.all(beats | ~fills[:, :-1], axis=1)
 
 
-def _expand(inverse, self_score, best, top):
-    """Each row's two neighbors from its group's self score and best two groups.
+def _expand(inverse, counts, group, score):
+    """Each row's `_NEIGHBORS` neighbors from its group's entry table.
 
-    Row i is a copy of group inverse[i].  Its neighbors are the best two, by
-    score and then by row, of the three lowest rows of its own group (row i
-    itself masked), the two lowest rows of the best other group and the
-    lowest row of the second.  At least two candidates are other rows with
-    finite scores, so the -inf entries past the last group are never taken.
+    Row i is a copy of group inverse[i].  Entry k of its table offers its
+    m + 1 - k lowest rows, with m = `_NEIGHBORS`: entry 0, the own group,
+    may hold row i itself (masked), and each of entries 1 to k - 1 holds a
+    row ranked ahead of every row of entry k (a higher score, or an equal
+    score and a lower group, so a lower lowest row).  The neighbors are the
+    best m candidates by score and then by row.  At least m candidates are
+    other rows with finite scores, so the -inf entries past the last group
+    are never taken.
     """
-    low = _lowest_members(inverse, self_score.size)
-    cand = np.column_stack([low, low[best[:, 0], :2], low[best[:, 1], :1]])[inverse]
-    score = np.repeat(np.column_stack([self_score, top[:, :2]]), [3, 2, 1], axis=1)[inverse]
+    members = np.argsort(inverse, kind="stable")
+    rank = np.arange(_NEIGHBORS + 1)
+    starts = np.cumsum(counts) - counts
+    at = np.minimum(starts[:, None] + rank, inverse.size - 1)
+    low = np.where(rank < counts[:, None], members[at], -1)  # m + 1 lowest rows, -1 past the size
+    take = _NEIGHBORS + 1 - rank
+    cand = np.concatenate([low[group[:, k], :t] for k, t in enumerate(take)], axis=1)[inverse]
+    score = np.repeat(score[:, :-1], take, axis=1)[inverse]
     score[(cand < 0) | (cand == np.arange(inverse.size)[:, None])] = -np.inf
-    order = np.lexsort((cand, -score))[:, :2]
+    order = np.lexsort((cand, -score))[:, :_NEIGHBORS]
     return np.take_along_axis(cand, order, axis=1)
 
 
 def get_2nn_triplets(data, weights):
-    """Exact 2-NN of every row under soft-cosine distance 1 - Sim_W.
+    """Exact `_NEIGHBORS`-NN (2-NN) of every row under soft-cosine distance 1 - Sim_W.
 
     Returns the neighbor graph of row ids; ``graph.labels(y)`` reads any
     label vector through it.  Rows with zero weighted norm are excluded as
     queries and as candidates, so ``graph.rows`` lists the rows that were
-    kept; fewer than 3 kept rows is an error.  The kept rows are normalized
-    and grouped by their unit rows (`_distinct_rows`).  A float32 pass over
-    the groups (`_best_groups`) gives each its self score, best two other
-    groups and top three scores.  Groups that `_sure` cannot settle from
-    these, within twice `_score_bound`, are scored again in float64;
-    `_expand` then maps every group back to its rows.
+    kept; fewer than `_NEIGHBORS` + 1 kept rows is an error.  The kept rows
+    are normalized and grouped by their unit rows (`_distinct_rows`).  A
+    float32 pass over the groups (`_best_groups`) gives each its entry
+    table.  Groups that `_sure` cannot settle from it, within twice
+    `_score_bound`, are scored again in float64; `_expand` then maps every
+    group back to its rows.
     """
     xw = _weighted_rows(data.features, weights)
     sq = np.einsum("ij,ij->i", xw, xw)
     rows = np.flatnonzero(sq > 0)
-    if rows.size < 3:
-        raise DataError(f"need at least 3 rows with nonzero weighted norm for "
-                        f"2-NN triplets, got {rows.size}")
+    if rows.size <= _NEIGHBORS:
+        raise DataError(f"need at least {_NEIGHBORS + 1} rows with nonzero weighted norm "
+                        f"for {_NEIGHBORS}-NN triplets, got {rows.size}")
     unit = xw[rows]
     del xw
     unit /= np.sqrt(sq[rows])[:, None]
     first, inverse = _distinct_rows(unit)
     unit = unit[first]
+    counts = np.bincount(inverse)
 
-    self_score, best, top = _best_groups(unit.astype(np.float32), np.arange(first.size), True)
-    sure = _sure(self_score, best, top, np.bincount(inverse), 2 * _score_bound(unit.shape[1]))
-    redo = np.flatnonzero(~sure)
-    self_score[redo], best[redo], top[redo] = _best_groups(unit, redo, False)
-    return NeighborTriplets(rows, rows[_expand(inverse, self_score, best, top)])
+    group, score = _best_groups(unit.astype(np.float32), np.arange(first.size), True)
+    redo = np.flatnonzero(~_sure(group, score, counts, 2 * _score_bound(unit.shape[1])))
+    group[redo], score[redo] = _best_groups(unit, redo, False)
+    return NeighborTriplets(rows, rows[_expand(inverse, counts, group, score)])
 
 
 def clusterability_rate(data, weights):
-    """Fraction of query rows whose two nearest neighbors share the row's clean label."""
+    """Fraction of query rows whose `_NEIGHBORS` nearest neighbors all share the
+    row's clean label."""
     if data.clean_labels is None:
         raise DataError("clusterability requires clean labels")
     c = get_2nn_triplets(data, weights).labels(data.clean_labels)
-    return float(((c[:, 1] == c[:, 0]) & (c[:, 2] == c[:, 0])).mean())
+    return float((c[:, 1:] == c[:, :1]).all(axis=1).mean())

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import tmest as tm
+
+# property tests draw the same examples on every run, so two runs of the
+# suite (say, before and after a change) test the same inputs
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def two_blob_dataset(seed, n=1000, d_inf=4, d_noise=0, sep=2.0, noise_scale=1.0):

@@ -104,7 +104,7 @@ def test_inject_noise_symmetric_without_clean_column(tmp_path, capsys):
     tm.save_dataset(replace(data, clean_labels=None), str(src))
     out = tmp_path / "relabelled.csv"
     rc = main(["inject-noise", "--input", str(src), "--output", str(out),
-               "--scheme", "symmetric", "--e1", "0.2", "--e2", "0.4", "--seed", "1"])
+               "--scheme", "symmetric", "--e1", "0.2", "--seed", "1"])
     assert rc == 0
     t = tm.TransitionMatrix.load(str(out) + ".true_t.json")
     np.testing.assert_allclose(t.t, [[0.8, 0.2], [0.2, 0.8]], atol=1e-12)
@@ -268,6 +268,35 @@ def test_inject_noise_rejects_non_finite_rates(noisy_csv, tmp_path, capsys, flag
                              *flags])
     assert err.startswith(f"tmest inject-noise: error: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--scheme", "symmetric", "--e1", "0.1", "--e2", "0.4"],
+     "--e2 applies only to --scheme asymmetric"),
+    (["--scheme", "dirichlet", "--e", "0.2", "--e1", "0.4"],
+     "--e1 and --e2 apply only to --scheme symmetric and asymmetric"),
+    (["--scheme", "dirichlet", "--r", "2.0", "--e2", "0.1"],
+     "--e1 and --e2 apply only to --scheme symmetric and asymmetric"),
+], ids=["symmetric-e2", "dirichlet-e1", "dirichlet-e2"])
+def test_inject_noise_rejects_rates_the_scheme_ignores(noisy_csv, tmp_path, capsys, flags,
+                                                      message):
+    # each of these rates used to be dropped silently, with exit status 0
+    out = tmp_path / "o.csv"
+    err = _error_of(capsys, ["inject-noise", "--input", noisy_csv[0], "--output", str(out),
+                             *flags])
+    assert err.startswith(f"tmest inject-noise: error: {message}")
+    assert not out.exists()
+
+
+def test_estimate_rejects_oversized_k(tmp_path, capsys):
+    # one stray label of 5000 makes K = 5001, whose c3 would take 932 GiB
+    rng = np.random.default_rng(0)
+    y = rng.integers(0, 2, 300)
+    y[7] = 5000
+    path = tmp_path / "big_k.csv"
+    tm.save_dataset(tm.Dataset(rng.normal(size=(300, 4)), y, 5001), str(path))
+    err = _error_of(capsys, ["estimate", "--input", str(path), "--variant", "plain-hoc"])
+    assert err.startswith("tmest estimate: error: K = 5001 classes is more than the 128 supported")
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -86,6 +86,24 @@ def test_model_consensus_needs_a_prior():
                                   model_consensus(TransitionMatrix(2, np.eye(2), [0.5, 0.5])).c3)
 
 
+def test_model_consensus_names_an_invalid_prior():
+    # was "c3 must be nonnegative and sum to 1", which names the output
+    t = TransitionMatrix(2, np.eye(2))
+    for p in ([0.7, 0.7], [1.5, -0.5]):
+        with pytest.raises(DataError, match="prior must be a probability vector"):
+            model_consensus(t, p)
+
+
+def test_c3_size_has_a_ceiling():
+    # K^3 cells are checked before c3 is built; K = 100 is admitted
+    with pytest.raises(DataError, match="K = 5001 classes is more than the 128 supported"):
+        count_consensus(np.zeros((3, 3), dtype=int), 5001)
+    with pytest.raises(DataError, match="K = 129 classes is more than the 128 supported"):
+        model_consensus(TransitionMatrix(129, np.eye(129)), np.full(129, 1 / 129))
+    assert count_consensus(np.array([[0, 99, 1]]), 100).c3[0, 99, 1] == 1.0
+    assert model_consensus(TransitionMatrix(100, np.eye(100)), np.full(100, 0.01)).k == 100
+
+
 def test_model_consensus_symmetric_hand_values():
     t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
     stats = model_consensus(t, [0.5, 0.5])

@@ -32,6 +32,17 @@ def test_binary_scheme_validation():
                 build_transition(scheme, k)
 
 
+@pytest.mark.parametrize("scheme,k,message", [
+    (NoiseScheme("binary", e1=0.1, e2=0.1, avg_rate=0.2), 2, "binary scheme reads e1 and e2"),
+    (NoiseScheme("dirichlet", e1=0.1, avg_rate=0.2), 3, "dirichlet scheme reads avg_rate"),
+    (NoiseScheme("dirichlet", e2=0.4, avg_rate=0.2), 3, "dirichlet scheme reads avg_rate"),
+], ids=["binary-avg_rate", "dirichlet-e1", "dirichlet-e2"])
+def test_scheme_rejects_rates_it_ignores(scheme, k, message):
+    # a rate the scheme does not read was dropped silently
+    with pytest.raises(DataError, match=message):
+        build_transition(scheme, k)
+
+
 def test_unknown_scheme():
     with pytest.raises(DataError):
         build_transition(NoiseScheme("uniform"), 2)

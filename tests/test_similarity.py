@@ -14,7 +14,7 @@ from tmest.similarity import (
     _block_rows,
     _distinct_rows,
     _score_bound,
-    _top3_candidates,
+    _top_candidates,
     NeighborTriplets,
     SimilarityWeights,
     clusterability_rate,
@@ -155,30 +155,38 @@ def _reference_sims(x, weights):
     return g / np.outer(norms, norms)
 
 
-def _stable_top2(sims):
-    """Each row's two best columns, self excluded, ties to the lower column."""
+def _stable_top(sims):
+    """Each row's `_NEIGHBORS` best columns, self excluded, ties to the lower column."""
     sims = sims.copy()
     np.fill_diagonal(sims, -np.inf)
-    return np.argsort(-sims, axis=1, kind="stable")[:, :2]
+    return np.argsort(-sims, axis=1, kind="stable")[:, :similarity._NEIGHBORS]
 
 
 def _reference_2nn(x, weights):
     """O(N^2) reference: stable argsort of similarities, self excluded."""
-    return _stable_top2(_reference_sims(x, weights))
+    return _stable_top(_reference_sims(x, weights))
+
+
+# neighbor counts for the general search, `_NEIGHBORS` monkeypatched
+NEIGHBOR_COUNTS = (1, 2, 3, 4, 8)
 
 
 @pytest.mark.parametrize("seed,n,d", [(0, 50, 3), (1, 700, 5), (2, 1300, 8)])
-def test_2nn_matches_reference(seed, n, d):
+def test_2nn_matches_reference(monkeypatch, seed, n, d):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d))
     data = tm.Dataset(x, rng.integers(0, 3, n), 3)
-    for weights in (SimilarityWeights(),
-                    SimilarityWeights(rng.uniform(0.1, 1.0, d))):
-        trip = get_2nn_triplets(data, weights)
-        np.testing.assert_array_equal(trip.indices, _reference_2nn(x, weights))
-        labels = trip.labels(data.noisy_labels)
-        np.testing.assert_array_equal(labels[:, 0], data.noisy_labels)
-        np.testing.assert_array_equal(labels[:, 1], data.noisy_labels[trip.indices[:, 0]])
+    weight_sets = (SimilarityWeights(), SimilarityWeights(rng.uniform(0.1, 1.0, d)))
+    for m in NEIGHBOR_COUNTS:
+        monkeypatch.setattr(similarity, "_NEIGHBORS", m)
+        for weights in weight_sets:
+            trip = get_2nn_triplets(data, weights)
+            assert trip.indices.shape == (n, m)
+            np.testing.assert_array_equal(trip.indices, _reference_2nn(x, weights),
+                                          err_msg=f"m={m}")
+            labels = trip.labels(data.noisy_labels)
+            np.testing.assert_array_equal(labels[:, 0], data.noisy_labels)
+            np.testing.assert_array_equal(labels[:, 1:], data.noisy_labels[trip.indices])
 
 
 def test_2nn_full_weight_matches_reference():
@@ -192,7 +200,7 @@ def test_2nn_full_weight_matches_reference():
     np.testing.assert_array_equal(trip.indices, _reference_2nn(x, weights))
 
 
-def test_2nn_tie_breaks_to_lower_index():
+def test_2nn_tie_breaks_to_lower_index(monkeypatch):
     # exact duplicate rows force exact similarity ties; both the fast path
     # and the reference must then pick the lowest row indices
     rng = np.random.default_rng(4)
@@ -201,12 +209,14 @@ def test_2nn_tie_breaks_to_lower_index():
     x = base[which]
     data = tm.Dataset(x, rng.integers(0, 2, 300), 2)
     w = SimilarityWeights()
-    trip = get_2nn_triplets(data, w)
-    # every duplicated row's neighbors are the two lowest other duplicates
-    for i in range(300):
-        dupes = np.flatnonzero(which == which[i])
-        expect = [j for j in dupes if j != i][:2]
-        assert trip.indices[i].tolist() == expect
+    for m in NEIGHBOR_COUNTS:
+        monkeypatch.setattr(similarity, "_NEIGHBORS", m)
+        trip = get_2nn_triplets(data, w)
+        # every duplicated row's neighbors are its m lowest other duplicates
+        for i in range(300):
+            dupes = np.flatnonzero(which == which[i])
+            expect = [j for j in dupes if j != i][:m]
+            assert trip.indices[i].tolist() == expect, f"m={m}, row {i}"
 
 
 def test_2nn_small_n_edge():
@@ -217,7 +227,7 @@ def test_2nn_small_n_edge():
     assert trip.labels(data.noisy_labels)[0].tolist() == [0, 0, 1]
 
 
-def test_neighbor_triplets_distinctness():
+def test_neighbor_triplets_distinctness(monkeypatch):
     with pytest.raises(DataError, match="distinct"):
         NeighborTriplets([0, 1, 2], np.array([[0, 1], [0, 2], [0, 1]]))
     with pytest.raises(DataError, match="distinct"):
@@ -226,6 +236,14 @@ def test_neighbor_triplets_distinctness():
     NeighborTriplets([2, 0], np.array([[0, 3], [3, 4]]))
     with pytest.raises(DataError, match="distinct"):
         NeighborTriplets([3, 0], np.array([[0, 3], [1, 4]]))
+    # with more neighbors, every pair of a row's ids is checked
+    monkeypatch.setattr(similarity, "_NEIGHBORS", 3)
+    NeighborTriplets([0, 1], [[1, 2, 3], [3, 2, 0]])
+    for indices in ([[1, 2, 1], [3, 2, 0]], [[1, 2, 3], [3, 2, 1]]):
+        with pytest.raises(DataError, match="distinct"):
+            NeighborTriplets([0, 1], indices)
+    with pytest.raises(DataError, match="per query row"):
+        NeighborTriplets([0, 1], [[1, 2], [2, 0]])
 
 
 def test_neighbor_triplets_hold_a_graph_only():
@@ -297,7 +315,7 @@ def test_2nn_zero_weight_excludes_row():
     which = rng.integers(0, g, n)
     x = np.column_stack([base[which], rng.normal(size=n)])
     w = rng.uniform(0.1, 1.0, 3)
-    expect = _stable_top2(_reference_sims(base, SimilarityWeights(w))[which][:, which])
+    expect = _stable_top(_reference_sims(base, SimilarityWeights(w))[which][:, which])
     trip = get_2nn_triplets(tm.Dataset(x, rng.integers(0, 2, n), 2),
                             SimilarityWeights(np.append(w, 0.0)))
     np.testing.assert_array_equal(trip.rows, np.arange(n))
@@ -414,7 +432,7 @@ def test_2nn_near_tie_decided_in_float64():
 def test_2nn_second_slot_tie_decided_in_float64():
     # row 0 has one clear nearest row (5, score 1/2) and an exact tie for the
     # second slot (rows 2 and 9, score 1/4; dyadic rows, so exact in float32
-    # too).  Among `_top3_candidates`' columns row 9 comes first (it shares
+    # too).  Among `_top_candidates`' columns row 9 comes first (it shares
     # row 5's strided group), so only the margin on the second slot sends the
     # tie to the float64 pass and the lower-index rule.
     d = 16
@@ -456,7 +474,7 @@ def test_2nn_duplicate_rows_break_ties_to_lower_index(n, d, distinct, form, scal
     base = rng.normal(size=(distinct, d))
     which = rng.integers(0, distinct, n)
     weights = _weights_of(form, rng, d)
-    expect = _stable_top2(_reference_sims(base, weights)[which][:, which])
+    expect = _stable_top(_reference_sims(base, weights)[which][:, which])
     x = base[which] * 2.0 ** rng.integers(-3, 4, (n, 1)) if scaled else base[which]
     trip = get_2nn_triplets(tm.Dataset(x, rng.integers(0, 3, n), 3), weights)
     np.testing.assert_array_equal(trip.indices, expect)
@@ -485,7 +503,7 @@ def test_2nn_few_groups(monkeypatch, sizes, zero, form, float64_only):
         live = np.flatnonzero(base.any(axis=1))
         keep = np.flatnonzero(np.isin(which, live))
         groups = np.searchsorted(live, which[keep])
-        expect = keep[_stable_top2(_reference_sims(base[live], weights)[groups][:, groups])]
+        expect = keep[_stable_top(_reference_sims(base[live], weights)[groups][:, groups])]
         data = tm.Dataset(base[which], rng.integers(0, 2, which.size), 2)
         trip = get_2nn_triplets(data, weights)
         np.testing.assert_array_equal(trip.rows, keep)
@@ -503,13 +521,13 @@ def test_2nn_searches_distinct_rows_only(monkeypatch):
 
     def spy(sims):
         widths.append(sims.shape[1])
-        return _top3_candidates(sims)
+        return _top_candidates(sims)
 
-    monkeypatch.setattr(similarity, "_top3_candidates", spy)
+    monkeypatch.setattr(similarity, "_top_candidates", spy)
     weights = SimilarityWeights(rng.uniform(0.1, 1.0, d))
     trip = get_2nn_triplets(tm.Dataset(base[which], rng.integers(0, 2, n), 2), weights)
     assert widths and set(widths) == {g}
-    # `_stable_top2` of the N x N similarities, built from the columns that can
+    # `_stable_top` of the N x N similarities, built from the columns that can
     # hold a row's lowest-index best two: the three lowest rows of each group
     cols = np.sort(np.concatenate([np.flatnonzero(which == k)[:3] for k in range(g)]))
     sims = _reference_sims(base, weights)
@@ -571,12 +589,13 @@ def test_top3_candidates_hold_each_rows_top_three(rows, width, levels, p_inf, se
     rng = np.random.default_rng(seed)
     sims = rng.integers(0, levels, (rows, width)).astype(np.float32)
     sims[rng.random((rows, width)) < p_inf] = -np.inf
-    cols = _top3_candidates(sims)
-    assert cols.shape[0] == rows and cols.shape[1] <= max(width, 31)
+    cols = _top_candidates(sims)
+    n = similarity._NEIGHBORS + 1
+    assert cols.shape[0] == rows and cols.shape[1] <= max(width, 8 * n + 7)
     for row, cand in zip(sims, cols):
         assert np.unique(cand).size == cand.size
         assert cand.min() >= 0 and cand.max() < width
-        np.testing.assert_array_equal(np.sort(row[cand])[-3:], np.sort(row)[-3:])
+        np.testing.assert_array_equal(np.sort(row[cand])[-n:], np.sort(row)[-n:])
 
 
 def test_2nn_working_set_bounded():
@@ -599,10 +618,17 @@ def test_2nn_working_set_bounded():
         assert peak <= 128 * n * 4 + 3 * n * d * 8 + (1 << 20)
 
 
-def test_clusterability_separated_blobs():
+def test_clusterability_separated_blobs(monkeypatch):
     data = two_blob_dataset(0, n=600, sep=4.0)
     rate = clusterability_rate(data, SimilarityWeights())
     assert rate > 0.95
+    # every neighbor must agree, so a row that counts at m + 1 counts at m
+    near = two_blob_dataset(0, n=600, sep=0.5)
+    rates = []
+    for m in NEIGHBOR_COUNTS:
+        monkeypatch.setattr(similarity, "_NEIGHBORS", m)
+        rates.append(clusterability_rate(near, SimilarityWeights()))
+    assert rates == sorted(rates, reverse=True) and rates[-1] < rates[0]
 
 
 def test_clusterability_requires_clean_labels():

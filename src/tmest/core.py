@@ -14,7 +14,6 @@ frozen under its owner.
 import csv
 import json
 from dataclasses import dataclass, field, asdict
-from itertools import chain
 
 import numpy as np
 
@@ -220,10 +219,10 @@ def load_dataset(path, schema=None, k=None):
     for i in usecols:
         if header[i] in repeated:
             raise DataError(f"{path}: column '{header[i]}' appears more than once")
-    try:
-        table = np.loadtxt(path, dtype=fields, usecols=usecols, delimiter=",",
-                           quotechar='"', comments=None, skiprows=1, ndmin=1,
-                           encoding="utf-8")
+    try:  # a handle with newline="" keeps a CR inside a quoted field
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = np.loadtxt(fh, dtype=fields, usecols=usecols, delimiter=",",
+                               quotechar='"', comments=None, skiprows=1, ndmin=1)
     except ValueError as exc:
         raise DataError(f"{path}: failed to parse: {exc}") from None
     noisy = table["noisy"]
@@ -239,11 +238,24 @@ def load_dataset(path, schema=None, k=None):
         raise DataError(f"{path}: {exc}") from None
 
 
+def _field(value):
+    """A label or id as `csv.QUOTE_MINIMAL` writes it: None is empty, and
+    text holding a comma, quote, CR or LF is quoted with its quotes doubled."""
+    text = "" if value is None else str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def save_dataset(data, path):
     """Write a dataset to CSV with the canonical column layout.
 
-    Floats are written as their shortest round-tripping repr, so a saved
-    file loads back bit for bit.
+    Columns are ``f0..f{d-1}``, ``noisy_label``, then ``clean_label`` and
+    ``id`` where the dataset has them; every row ends in CRLF.  Floats are
+    written as their shortest round-tripping repr, so a saved file loads back
+    bit for bit.  Label and id fields are quoted as `csv.QUOTE_MINIMAL` does:
+    a field holding a comma, quote, CR or LF is wrapped in quotes with its
+    quotes doubled, and a None id is an empty field.
     """
     header = [f"f{i}" for i in range(data.d)] + ["noisy_label"]
     tails = [data.noisy_labels.tolist()]
@@ -254,9 +266,10 @@ def save_dataset(data, path):
         header.append("id")
         tails.append(data.ids)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(map(chain, data.features.tolist(), zip(*tails)))
+        fh.write(",".join(header) + "\r\n")
+        # one row at a time: the N x d float reprs never exist all at once
+        fh.writelines(",".join(map(repr, row.tolist())) + "," + ",".join(map(_field, tail))
+                      + "\r\n" for row, tail in zip(data.features, zip(*tails)))
 
 
 @dataclass

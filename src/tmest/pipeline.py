@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import VARIANTS, DataError, Report
 from .evaluation import estimation_error
-from .hoc import count_consensus, solve_transition
+from .hoc import _check_c3_size, count_consensus, solve_transition
 from .infotheory import estimate_fmi_per_dim, build_weights
 from .similarity import SimilarityWeights, get_2nn_triplets
 from .whitening import fit_whitening, apply_whitening
@@ -36,6 +36,7 @@ def estimate(data, config, true_t=None):
     neighbors, count and solve.  `flags` names what the counts cannot
     identify; it is empty when nothing is flagged.
     """
+    _check_c3_size(data.k)  # before any stage, not after the 2-NN search
     if true_t is not None and true_t.k != data.k:
         raise DataError(f"true_t has K={true_t.k}, but the data have K={data.k}")
     whiten, divergence = VARIANTS[config.variant]

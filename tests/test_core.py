@@ -1,8 +1,11 @@
+import csv
 import json
 from dataclasses import asdict, fields
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import tmest as tm
 from tmest.core import (DataError, EstimatorConfig, OptimizerConfig, Report, load_json,
@@ -136,8 +139,8 @@ def test_schema_mapping(tmp_csv):
 
 
 def test_ids_round_trip_as_text(tmp_path):
-    ids = ["a,b", 'say "hi"', "x#1", "", " pad ", "007"]
-    data = tm.Dataset(np.arange(12.0).reshape(6, 2), [0, 1, 0, 1, 1, 0], 2, ids=ids)
+    ids = ["a,b", 'say "hi"', "x#1", "", " pad ", "007", "a\rb", "c\r\nd"]
+    data = tm.Dataset(np.arange(16.0).reshape(8, 2), [0, 1, 0, 1, 1, 0, 0, 1], 2, ids=ids)
     path = str(tmp_path / "ids.csv")
     tm.save_dataset(data, path)
     assert tm.load_dataset(path).ids == ids
@@ -176,6 +179,49 @@ def test_save_dataset_byte_layout(tmp_path):
         b"0.1,-2.0,0,0,a\r\n"
         b'1e-20,3.0,1,1,"b,c"\r\n'
         b"0.3333333333333333,-0.0,1,0,\r\n")
+
+
+def _csv_writer_reference(data, path):
+    """`save_dataset` as it was written with `csv.writer`: the byte oracle."""
+    header = [f"f{i}" for i in range(data.d)] + ["noisy_label"]
+    tails = [data.noisy_labels.tolist()]
+    if data.clean_labels is not None:
+        header.append("clean_label")
+        tails.append(data.clean_labels.tolist())
+    if data.ids is not None:
+        header.append("id")
+        tails.append(data.ids)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(map(chain, data.features.tolist(), zip(*tails)))
+
+
+# any finite float64 bit pattern, plus values whose repr is hard to get right
+_FINITE_FLOATS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(lambda bits: np.uint64(bits).view(np.float64).item())
+    .filter(np.isfinite),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-5, 1e-4,
+                     1e16, 1e15, 2.0 ** 53, 1.7976931348623157e308]))
+_IDS = st.one_of(
+    st.none(), st.integers(-10 ** 20, 10 ** 20),
+    st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", " ", "a", "#"]),
+                      st.characters(exclude_categories=["Cs"])), max_size=6))
+
+
+@given(data=st.data(), n=st.integers(3, 6), d=st.integers(1, 4))
+def test_save_dataset_matches_csv_writer(tmp_path_factory, data, n, d):
+    features = np.array(data.draw(st.lists(_FINITE_FLOATS, min_size=n * d, max_size=n * d)))
+    labels = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    noisy, clean = data.draw(labels), data.draw(labels)
+    ids = data.draw(st.lists(_IDS, min_size=n, max_size=n))
+    folder = tmp_path_factory.mktemp("oracle")
+    for case in (tm.Dataset(features.reshape(n, d), noisy, 3),
+                 tm.Dataset(features.reshape(n, d), noisy, 3, clean_labels=clean),
+                 tm.Dataset(features.reshape(n, d), noisy, 3, clean_labels=clean, ids=ids)):
+        tm.save_dataset(case, folder / "new.csv")
+        _csv_writer_reference(case, folder / "old.csv")
+        assert (folder / "new.csv").read_bytes() == (folder / "old.csv").read_bytes()
 
 
 def test_validate_transition_identity():

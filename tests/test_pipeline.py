@@ -141,6 +141,23 @@ def test_true_t_size_checked_before_any_stage(monkeypatch):
         estimate(data, EstimatorConfig(variant="a-tv"), true_t=three)
 
 
+def test_class_count_checked_before_any_stage(monkeypatch):
+    # one stray label of 5000 makes K = 5001: rejected before the 2-NN search
+    data, _ = _noisy_blobs(3, n=300)
+    labels = data.noisy_labels.copy()
+    labels[0] = 5000
+    wide = tm.Dataset(data.features, labels, 5001)
+
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran before K was checked")
+
+    for name in ("fit_whitening", "apply_whitening", "estimate_fmi_per_dim",
+                 "build_weights", "get_2nn_triplets", "count_consensus", "solve_transition"):
+        monkeypatch.setattr(f"tmest.pipeline.{name}", stage)
+    with pytest.raises(DataError, match="K = 5001 classes is more than the 128 supported"):
+        estimate(wide, EstimatorConfig(variant="a-tv"))
+
+
 def test_error_is_none_without_truth():
     data, _ = _noisy_blobs(3, n=800)
     report = estimate(data, EstimatorConfig(variant="plain-hoc"))

@@ -11,8 +11,8 @@ keep read-only buffers, so no later in-place write can break an invariant
 frozen under its owner.
 """
 
-import csv
 import json
+import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -33,15 +33,6 @@ ACTIVATIONS = ("minmax", "log-minmax")
 
 class DataError(ValueError):
     """Raised when an input file or matrix violates the data contract."""
-
-
-def load_json(path):
-    """Decode a JSON file; a file that is not JSON is a `DataError`."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from None
 
 
 def dump_json(obj, fh):
@@ -178,51 +169,54 @@ def load_dataset(path, schema=None, k=None):
     Expected columns: ``f0..f{d-1}``, ``noisy_label`` and optionally
     ``clean_label`` and ``id``, in any order and among other columns.
     ``schema`` maps these canonical names to the actual column names in the
-    file.  Fields may be quoted, ``#`` is data, not a comment, and ``id`` is
-    read as text.  K is inferred as 1 + max label unless given.
+    file.  The header is one CSV record, read by the same parser as the
+    rows, so a quoted name may hold a line break.  Fields may be quoted,
+    ``#`` is data, not a comment, and ``id`` is read as text.  K is inferred
+    as 1 + max label unless given.
     """
     schema = schema or {}
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            if not any(reader):  # stops at the first non-blank row
-                raise DataError(f"{path}: no data rows")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
     def col(name):
         return schema.get(name, name)
 
-    pos = {name: i for i, name in enumerate(header)}  # a repeated name: its last place
-    repeated = {name for i, name in enumerate(header) if pos[name] != i}
     noisy_col = col("noisy_label")
     clean_col = col("clean_label")
     id_col = col("id")
-    if noisy_col not in pos:
-        raise DataError(f"{path}: missing column '{noisy_col}'")
-
-    d = 0
-    while col(f"f{d}") in pos:
-        d += 1
-    if d == 0:
-        raise DataError(f"{path}: no feature columns found (expected f0, f1, ...)")
-
-    fields = [("features", np.float64, (d,)), ("noisy", np.int64)]
-    usecols = [pos[col(f"f{i}")] for i in range(d)] + [pos[noisy_col]]
-    for name, column, dtype in (("clean", clean_col, np.int64), ("id", id_col, object)):
-        if column in pos:
-            fields.append((name, dtype))
-            usecols.append(pos[column])
-    for i in usecols:
-        if header[i] in repeated:
-            raise DataError(f"{path}: column '{header[i]}' appears more than once")
+    csv_format = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
     try:  # a handle with newline="" keeps a CR inside a quoted field
-        with open(path, newline="", encoding="utf-8") as fh:
-            table = np.loadtxt(fh, dtype=fields, usecols=usecols, delimiter=",",
-                               quotechar='"', comments=None, skiprows=1, ndmin=1)
+        with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            header = np.loadtxt(fh, dtype=str, max_rows=1, **csv_format).tolist()
+            if not header:
+                raise DataError(f"{path}: empty file")
+            pos = {name: i for i, name in enumerate(header)}  # a repeated name: its last place
+            repeated = {name for i, name in enumerate(header) if pos[name] != i}
+            if noisy_col not in pos:
+                raise DataError(f"{path}: missing column '{noisy_col}'")
+
+            d = 0
+            while col(f"f{d}") in pos:
+                d += 1
+            if d == 0:
+                raise DataError(f"{path}: no feature columns found (expected f0, f1, ...)")
+
+            fields = [("features", np.float64, (d,)), ("noisy", np.int64)]
+            usecols = [pos[col(f"f{i}")] for i in range(d)] + [pos[noisy_col]]
+            for name, column, dtype in (("clean", clean_col, np.int64), ("id", id_col, object)):
+                if column in pos:
+                    fields.append((name, dtype))
+                    usecols.append(pos[column])
+            for i in usecols:
+                if header[i] in repeated:
+                    raise DataError(f"{path}: column '{header[i]}' appears more than once")
+            # the rows after the header record, from the same handle
+            table = np.loadtxt(fh, dtype=fields, usecols=usecols, **csv_format)
+            if table.size == 0:
+                raise DataError(f"{path}: no data rows")
+    except DataError:  # a ValueError too, but already names the file
+        raise
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     except ValueError as exc:
         raise DataError(f"{path}: failed to parse: {exc}") from None
     noisy = table["noisy"]
@@ -313,7 +307,11 @@ class TransitionMatrix:
     def load(cls, path):
         """Read a matrix file, or the `estimated_t` of a report file; errors
         name the file."""
-        obj = load_json(path)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                obj = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise DataError(f"{path}: not valid JSON: {exc}") from None
         if isinstance(obj, dict) and "estimated_t" in obj:  # a report file
             obj = obj["estimated_t"]
         try:
@@ -391,7 +389,7 @@ _STAGES = ("noise", "optimizer", "training", "synthesis")
 def stage_rng(seed, stage):
     """Deterministic per-stage generator derived from the global seed."""
     if stage not in _STAGES:
-        raise ValueError(f"unknown stage '{stage}'")
+        raise DataError(f"unknown stage '{stage}'")
     seed = int(_integer(seed, "seed")) & 0xFFFFFFFFFFFFFFFF
     ss = np.random.SeedSequence([seed, _STAGES.index(stage)])
     return np.random.default_rng(ss)

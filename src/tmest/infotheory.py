@@ -144,11 +144,6 @@ def build_weights(mi, activation="minmax"):
     return SimilarityWeights(w)
 
 
-def _h2(e):
-    """Binary entropy in bits, for 0 < e < 1."""
-    return -e * math.log2(e) - (1 - e) * math.log2(1 - e)
-
-
 def _xlog2x(x):
     return x * math.log2(x) if x > 0 else 0.0
 
@@ -164,7 +159,9 @@ def kl_order_gap(rates):
     if e == 0:
         return 0.0
     delta = min(rates.e1, rates.e2) / e
-    return e * (_xlog2x(delta) - (1 + delta) * math.log2(1 + delta)) + _h2(e)
+    # one subtracted sum, so this is `+ H2(e)` bit for bit (negation is exact)
+    return (e * (_xlog2x(delta) - (1 + delta) * math.log2(1 + delta))
+            - (_xlog2x(e) + _xlog2x(1 - e)))
 
 
 def kl_noise_bias(beta, rates):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tmest as tm
-from tmest.core import DataError
+from tmest.core import DataError, stage_rng
 from tmest.whitening import WhiteningTransform
 
 RATES = tm.NoiseRatePair(0.1, 0.2)
@@ -90,7 +90,8 @@ LABEL_INPUTS = [
 LABEL_IDS = [case[0] for case in LABEL_INPUTS]
 
 # (entry point, call on a bad input, regex of its error): ragged nesting and
-# wrong types that numpy or Python would otherwise reject with their own errors
+# wrong types that numpy or Python would otherwise reject with their own errors,
+# and inputs of the wrong shape, length, sign or name
 MALFORMED_INPUTS = [
     ("SimilarityWeights.ragged", lambda: tm.SimilarityWeights([[1.0], [1.0, 2.0]]),
      "^full weights must be numeric"),
@@ -101,6 +102,31 @@ MALFORMED_INPUTS = [
      "^ids must have length N"),
     ("Report.error", lambda: tm.Report(tm.validate_transition(np.eye(2)), STATS, error="a"),
      "^error must be finite"),
+    ("Dataset.features.1-d", lambda: tm.Dataset(np.zeros(3), [0, 1, 0], 2),
+     "^features must be a 2-d matrix with d >= 1$"),
+    ("Dataset.features.d0", lambda: tm.Dataset(np.zeros((3, 0)), [0, 1, 0], 2),
+     "^features must be a 2-d matrix with d >= 1$"),
+    ("Dataset.noisy_labels.length", lambda: tm.Dataset(np.zeros((3, 2)), [0, 1], 2),
+     "^noisy labels must have length N=3$"),
+    ("Dataset.clean_labels.length",
+     lambda: tm.Dataset(np.zeros((3, 2)), [0, 1, 0], 2, clean_labels=[0, 1]),
+     "^clean labels must have length N=3$"),
+    ("TransitionMatrix.shape", lambda: tm.TransitionMatrix(2, np.eye(3)),
+     r"^expected a 2x2 matrix, got \(3, 3\)$"),
+    ("TransitionMatrix.p.length", lambda: tm.TransitionMatrix(2, np.eye(2), p=[1.0]),
+     "^prior must have length K$"),
+    ("estimate_fmi_per_dim.labels",
+     lambda: tm.estimate_fmi_per_dim([[float(i)] for i in range(20)], [0, 1] * 9 + [0]),
+     r"^need one label per feature row: 20 rows, labels of shape \(19,\)$"),
+    ("MIEstimate.empty", lambda: tm.MIEstimate([]), "^per_dim must be a non-empty vector$"),
+    ("MIEstimate.2-d", lambda: tm.MIEstimate([[0.1], [0.2]]),
+     "^per_dim must be a non-empty vector$"),
+    ("MIEstimate.negative", lambda: tm.MIEstimate([-0.1]), "^MI values must be nonnegative$"),
+    ("kl_noise_bias.beta", lambda: tm.kl_noise_bias(1.0, RATES),
+     r"^beta must lie in \[0, 1\), got 1.0$"),
+    ("SimilarityWeights.negative", lambda: tm.SimilarityWeights([1.0, -0.5]),
+     "^diagonal weights must be a nonnegative vector$"),
+    ("stage_rng", lambda: stage_rng(0, "nope"), "^unknown stage 'nope'$"),
 ]
 
 CLASS_COUNT_INPUTS = [

@@ -251,6 +251,16 @@ def test_kl_order_gap_symmetric_closed_form():
     assert kl_order_gap(NoiseRatePair(0.25, 0.25)) == pytest.approx(0.31128, abs=5e-5)
 
 
+def test_kl_order_gap_adds_binary_entropy_bit_for_bit():
+    # the documented closed form, with H2(e) added as one term, gives the same bits
+    for e1 in np.linspace(0.02, 0.48, 9):
+        for e2 in np.linspace(0.01, 0.49, 9):
+            e, delta = max(e1, e2), min(e1, e2) / max(e1, e2)
+            h2 = -e * math.log2(e) - (1 - e) * math.log2(1 - e)
+            closed = e * (delta * math.log2(delta) - (1 + delta) * math.log2(1 + delta)) + h2
+            assert kl_order_gap(NoiseRatePair(e1, e2)) == closed
+
+
 def test_kl_order_gap_zero_noise():
     assert kl_order_gap(NoiseRatePair(0.0, 0.0)) == 0.0
 

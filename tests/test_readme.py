@@ -1,10 +1,13 @@
-"""The README's Python examples run as written: every ```python block, in
-order and in one namespace, in a directory holding the `noisy.csv` they read."""
+"""The README's examples hold as written: every ```python block runs, in
+order and in one namespace, in a directory holding the `noisy.csv` it reads,
+and every `tmest` command of a ```bash block parses with the CLI's parser."""
 
 import re
+import shlex
 from pathlib import Path
 
 import tmest as tm
+from tmest.cli import build_parser
 from tmest.noise import NoiseScheme, build_transition, inject_noise
 
 from conftest import two_blob_dataset
@@ -25,3 +28,14 @@ def test_readme_python_examples_run(tmp_path, monkeypatch):
         exec(compile(block, str(README), "exec"), namespace)
     assert (tmp_path / "report.json").is_file()
     assert namespace["stats"].n == namespace["graph"].rows.size == 1000
+
+
+def test_readme_cli_commands_parse():
+    text = README.read_text(encoding="utf-8")
+    lines = "".join(re.findall(r"^```bash\n(.*?)^```", text, re.S | re.M))
+    commands = [shlex.split(line)[1:] for line in lines.replace("\\\n", " ").splitlines()
+                if line.startswith("tmest ")]
+    assert len(commands) == 6
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]

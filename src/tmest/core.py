@@ -170,7 +170,8 @@ def load_dataset(path, schema=None, k=None):
     ``clean_label`` and ``id``, in any order and among other columns.
     ``schema`` maps these canonical names to the actual column names in the
     file.  The header is one CSV record, read by the same parser as the
-    rows, so a quoted name may hold a line break.  Fields may be quoted,
+    rows, so a quoted name may hold a line break.  Blank lines are skipped
+    anywhere, also before the header.  Fields may be quoted,
     ``#`` is data, not a comment, and ``id`` is read as text.  K is inferred
     as 1 + max label unless given.
     """
@@ -186,6 +187,7 @@ def load_dataset(path, schema=None, k=None):
     try:  # a handle with newline="" keeps a CR inside a quoted field
         with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data")  # blank lines
             header = np.loadtxt(fh, dtype=str, max_rows=1, **csv_format).tolist()
             if not header:
                 raise DataError(f"{path}: empty file")

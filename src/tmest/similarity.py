@@ -1,26 +1,28 @@
 """Weighted (soft) cosine similarity and exact 2-nearest-neighbor retrieval.
 
-The neighbor count m is one constant, `_NEIGHBORS` = 2: HOC's triplet is a
-row and its two nearest rows.  The search is brute force over the G
-distinct unit rows, O(G^2 d), and its neighbor sets are those of float64
-scores, exact and deterministic.  Every row is weighted and normalized
-once.  Rows with zero weighted norm have no defined similarity; they are
-left out as queries and as candidates.  A copy is a row whose weighted
-unit row is bitwise equal to another's: an exact duplicate, a power-of-two
-scaling, or a row that differs only on zero-weight axes.  Other positive
-scalings are copies only where the float64 weighting and normalization
-round them to the same bits.  The copies of one unit row form a group and
-share one score column.  A float32 pass scores blocks of at most `_CHUNK`
-groups against every group and gives each group an entry table of m + 2
-(group, score) entries: the group itself at its self score, then its best
-m + 1 other groups.  Groups whose entries decide the m neighbor slots
-beyond a proven bound on the float32 rounding error (`_score_bound`,
-`_sure`) keep them, and the rest (near ties) are scored again in float64.
-One expansion (`_expand`) then maps groups back to rows: equal float64
-similarities break toward the lower row index, and copies tie by
-construction.  Score blocks hold at most `_CHUNK` rows and `_BUFFER_BYTES`
-bytes.  The search returns a graph of row ids that holds no labels;
-`NeighborTriplets.labels(y)` reads any label vector through it.
+`soft_cosine` takes any form of W; the search takes the identity or a
+diagonal W, the forms the pipeline builds, and rejects a full W.  The
+neighbor count m is one constant, `_NEIGHBORS` = 2: HOC's triplet is a row
+and its two nearest rows.  The search is brute force over the G distinct
+unit rows, O(G^2 d), and its neighbor sets are those of float64 scores,
+exact and deterministic.  Every row is weighted (x * sqrt(w)) and
+normalized once.  Rows with zero weighted norm have no defined similarity;
+they are left out as queries and as candidates.  A copy is a row whose
+weighted unit row is bitwise equal to another's: an exact duplicate, a
+power-of-two scaling, or a row that differs only on zero-weight axes.
+Other positive scalings are copies only where the float64 weighting and
+normalization round them to the same bits.  The copies of one unit row form
+a group and share one score column.  A float32 pass scores blocks of at
+most `_CHUNK` groups against every group and gives each group an entry
+table of m + 2 (group, score) entries: the group itself at its self score,
+then its best m + 1 other groups.  Groups whose entries decide the m
+neighbor slots beyond a proven bound on the float32 rounding error
+(`_score_bound`, `_sure`) keep them, and the rest (near ties) are scored
+again in float64.  One expansion (`_expand`) then maps groups back to rows:
+equal float64 similarities break toward the lower row index, and copies tie
+by construction.  Score blocks hold at most `_CHUNK` rows and
+`_BUFFER_BYTES` bytes.  The search returns a graph of row ids that holds no
+labels; `NeighborTriplets.labels(y)` reads any label vector through it.
 """
 
 from dataclasses import dataclass
@@ -63,27 +65,8 @@ class SimilarityWeights:
         return "identity" if self.w is None else ("diagonal", "full")[_array(self.w).ndim != 1]
 
 
-def _weighted_rows(features, weights):
-    """Rows mapped so that plain inner products realize x^T W x'.
-
-    Identity: x.  Diagonal: x * sqrt(w).  Full: x V sqrt(L), where
-    W = V L V^T is the eigendecomposition of the PSD matrix W, summed by
-    ``np.einsum`` in one order for every row (a BLAS product may round equal
-    rows differently by their place in the block), so equal rows map to
-    equal bits.
-    """
-    if weights.w is None:
-        return features
-    if weights.w.shape[0] != features.shape[-1]:
-        raise DataError("weight size does not match the feature dimension")
-    if weights.w.ndim == 1:
-        return features * np.sqrt(weights.w)
-    evals, evecs = np.linalg.eigh(weights.w)
-    return np.einsum("ij,jk->ik", features, evecs * np.sqrt(np.maximum(evals, 0.0)))
-
-
 def soft_cosine(x, x2, weights):
-    """Cosine similarity under the quadratic form x^T W x'.
+    """Cosine similarity under the quadratic form x^T W x', for any form of W.
 
     Equals hard cosine for identity weights; requires two finite vectors of
     one length, both with strictly positive weighted norm.
@@ -91,11 +74,14 @@ def soft_cosine(x, x2, weights):
     x, x2 = _reals(x, "x", frozen=False), _reals(x2, "x2", frozen=False)
     if x.ndim != 1 or x.shape != x2.shape:
         raise DataError(f"need two vectors of one length, got shapes {x.shape} and {x2.shape}")
-    a, b = _weighted_rows(np.array([x, x2]), weights)
-    n1, n2 = a @ a, b @ b
+    w = np.ones(x.size) if weights.w is None else weights.w
+    if w.shape[0] != x.size:
+        raise DataError("weight size does not match the feature dimension")
+    w = np.diag(w) if w.ndim == 1 else w
+    n1, n2 = x @ w @ x, x2 @ w @ x2
     if n1 <= 0 or n2 <= 0:
         raise DataError("degenerate vector under W")
-    return float(a @ b / np.sqrt(n1 * n2))
+    return float(x @ w @ x2 / np.sqrt(n1 * n2))
 
 
 @dataclass
@@ -314,17 +300,23 @@ def _expand(inverse, counts, group, score):
 def get_2nn_triplets(data, weights):
     """Exact `_NEIGHBORS`-NN (2-NN) of every row under soft-cosine distance 1 - Sim_W.
 
-    Returns the neighbor graph of row ids; ``graph.labels(y)`` reads any
-    label vector through it.  Rows with zero weighted norm are excluded as
-    queries and as candidates, so ``graph.rows`` lists the rows that were
-    kept; fewer than `_NEIGHBORS` + 1 kept rows is an error.  The kept rows
-    are normalized and grouped by their unit rows (`_distinct_rows`).  A
-    float32 pass over the groups (`_best_groups`) gives each its entry
-    table.  Groups that `_sure` cannot settle from it, within twice
-    `_score_bound`, are scored again in float64; `_expand` then maps every
-    group back to its rows.
+    W is the identity or a diagonal w of length d, which scales each row to
+    x * sqrt(w); a full W or another length raises `DataError`.  Returns the
+    neighbor graph of row ids; ``graph.labels(y)`` reads any label vector
+    through it.  Rows with zero weighted norm are excluded as queries and as
+    candidates, so ``graph.rows`` lists the rows that were kept; fewer than
+    `_NEIGHBORS` + 1 kept rows is an error.  The kept rows are normalized and
+    grouped by their unit rows (`_distinct_rows`).  A float32 pass over the
+    groups (`_best_groups`) gives each its entry table.  Groups that `_sure`
+    cannot settle from it, within twice `_score_bound`, are scored again in
+    float64; `_expand` then maps every group back to its rows.
     """
-    xw = _weighted_rows(data.features, weights)
+    w = weights.w
+    if w is not None and w.ndim != 1:
+        raise DataError("the neighbor search takes identity or diagonal weights, got full")
+    if w is not None and w.size != data.features.shape[1]:
+        raise DataError("weight size does not match the feature dimension")
+    xw = data.features if w is None else data.features * np.sqrt(w)
     sq = np.einsum("ij,ij->i", xw, xw)
     rows = np.flatnonzero(sq > 0)
     if rows.size <= _NEIGHBORS:
@@ -345,7 +337,7 @@ def get_2nn_triplets(data, weights):
 
 def clusterability_rate(data, weights):
     """Fraction of query rows whose `_NEIGHBORS` nearest neighbors all share the
-    row's clean label."""
+    row's clean label, under the weights `get_2nn_triplets` takes."""
     if data.clean_labels is None:
         raise DataError("clusterability requires clean labels")
     c = get_2nn_triplets(data, weights).labels(data.clean_labels)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from dataclasses import asdict, fields
 from itertools import chain
 
@@ -103,6 +104,31 @@ def test_load_accepts_byte_order_mark(tmp_path, text):
     np.testing.assert_array_equal(data.features, [[0.1, 0.2, 0.3], [1.0, 1.1, 1.2],
                                                   [-0.5, 0.0, 0.5], [2.0, 2.5, 3.0]])
     assert data.noisy_labels.tolist() == [0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("text", [
+    "\nf0,noisy_label\n0.1,0\n0.2,1\n0.3,0\n",
+    "\r\n\r\nf0,noisy_label\r\n0.1,0\r\n0.2,1\r\n0.3,0\r\n",
+    "f0,noisy_label\n\n0.1,0\n\n0.2,1\n0.3,0\n\n\n",
+], ids=["before-header", "before-header-crlf", "between-and-after-rows"])
+def test_load_skips_blank_lines_anywhere(tmp_csv, text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = tm.load_dataset(tmp_csv("blank.csv", text))
+    assert data.features.ravel().tolist() == [0.1, 0.2, 0.3]
+    assert data.noisy_labels.tolist() == [0, 1, 0]
+
+
+def test_load_blank_lines_alone_are_an_empty_file(tmp_csv):
+    path = tmp_csv("blank.csv", "\n\n")
+    with pytest.raises(DataError) as exc:
+        tm.load_dataset(path)
+    assert str(exc.value) == f"{path}: empty file"
+    # a line of spaces is a record, not a blank line
+    with pytest.raises(DataError, match="missing column 'noisy_label'"):
+        tm.load_dataset(tmp_csv("space.csv", " \nf0,noisy_label\n0.1,0\n0.2,1\n0.3,0\n"))
+    with pytest.raises(DataError, match="failed to parse: could not convert string ' '"):
+        tm.load_dataset(tmp_csv("space.csv", "f0,noisy_label\n0.1,0\n \n0.2,1\n0.3,0\n"))
 
 
 def test_load_rejects_header_only(tmp_csv):

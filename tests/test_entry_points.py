@@ -10,6 +10,7 @@ from tmest.core import DataError, stage_rng
 from tmest.whitening import WhiteningTransform
 
 RATES = tm.NoiseRatePair(0.1, 0.2)
+W3 = [[1.0, -0.2, -0.5], [-0.2, 1.0, 0.5], [-0.5, 0.5, 1.0]]  # a full PSD weight on d = 3
 STATS = tm.model_consensus(tm.validate_transition(np.eye(2)), [0.5, 0.5])
 DATA = tm.Dataset([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [2.0, 0.5]], [0, 1, 0, 1], 2,
                   clean_labels=[0, 1, 0, 1])
@@ -127,6 +128,18 @@ MALFORMED_INPUTS = [
     ("SimilarityWeights.negative", lambda: tm.SimilarityWeights([1.0, -0.5]),
      "^diagonal weights must be a nonnegative vector$"),
     ("stage_rng", lambda: stage_rng(0, "nope"), "^unknown stage 'nope'$"),
+    ("get_2nn_triplets.weight_size",
+     lambda: tm.get_2nn_triplets(tm.Dataset(np.eye(3), [0, 1, 0], 2),
+                                 tm.SimilarityWeights([1.0, 1.0])),
+     "^weight size does not match the feature dimension$"),
+    ("soft_cosine.weight_size",
+     lambda: tm.soft_cosine([1.0, 0.0], [0.0, 1.0], tm.SimilarityWeights(W3)),
+     "^weight size does not match the feature dimension$"),
+    ("get_2nn_triplets.full", lambda: tm.get_2nn_triplets(DATA, tm.SimilarityWeights(np.eye(2))),
+     "^the neighbor search takes identity or diagonal weights, got full$"),
+    ("clusterability_rate.full",
+     lambda: tm.clusterability_rate(DATA, tm.SimilarityWeights(np.eye(2))),
+     "^the neighbor search takes identity or diagonal weights, got full$"),
 ]
 
 CLASS_COUNT_INPUTS = [

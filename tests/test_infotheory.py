@@ -304,6 +304,12 @@ def test_bias_unimodal_with_stated_peak():
         assert np.all(np.diff(vals[betas > peak + 1e-3]) < 0)
 
 
+def test_noiseless_pair_has_peak_and_gap_zero():
+    rates = NoiseRatePair(0, 0)
+    assert kl_bias_argmax(rates) == 0.0
+    assert practical_gap(rates) == 0.0
+
+
 def test_full_range_gap_equals_order_gap():
     for e1, e2 in [(0.25, 0.25), (0.1, 0.3), (0.4, 0.05)]:
         rates = NoiseRatePair(e1, e2)

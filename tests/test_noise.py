@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tmest as tm
+from tmest import noise
 from tmest.core import DataError, stage_rng
 from tmest.noise import (
     NoiseScheme,
@@ -92,6 +93,13 @@ def test_dirichlet_rate_bounds():
     # jitter could push the rate negative
     with pytest.raises(DataError):
         build_transition(NoiseScheme("dirichlet", avg_rate=0.01), 3)
+
+
+def test_dirichlet_gives_up_after_max_row_attempts(monkeypatch):
+    # at avg_rate=0.6 and K=3 row 0's first draw is not diagonally dominant
+    monkeypatch.setattr(noise, "_MAX_ROW_ATTEMPTS", 1)
+    with pytest.raises(DataError, match="^could not draw a diagonally dominant row 0$"):
+        build_transition(NoiseScheme("dirichlet", avg_rate=0.6, seed=0), 3)
 
 
 def test_dirichlet_deterministic_in_seed():

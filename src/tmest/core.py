@@ -12,6 +12,7 @@ frozen under its owner.
 """
 
 import json
+import re
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -167,7 +168,9 @@ def load_dataset(path, schema=None, k=None):
     """Read a dataset from CSV.
 
     Expected columns: ``f0..f{d-1}``, ``noisy_label`` and optionally
-    ``clean_label`` and ``id``, in any order and among other columns.
+    ``clean_label`` and ``id``, in any order and among other columns.  A
+    feature column after a gap in that numbering (``f3`` without ``f2``) is
+    an error, not a silently dropped column.
     ``schema`` maps these canonical names to the actual column names in the
     file.  The header is one CSV record, read by the same parser as the
     rows, so a quoted name may hold a line break.  Blank lines are skipped
@@ -201,6 +204,13 @@ def load_dataset(path, schema=None, k=None):
                 d += 1
             if d == 0:
                 raise DataError(f"{path}: no feature columns found (expected f0, f1, ...)")
+            # a header name that `schema` reads as f<k> past the first missing one
+            canonical = {actual: name for name, actual in schema.items()}
+            for name in header:
+                feature = re.fullmatch(r"f([1-9][0-9]*)", canonical.get(name, name))
+                if feature and int(feature[1]) > d:
+                    raise DataError(f"{path}: feature column '{name}' follows a gap: "
+                                    f"'{col(f'f{d}')}' is missing")
 
             fields = [("features", np.float64, (d,)), ("noisy", np.int64)]
             usecols = [pos[col(f"f{i}")] for i in range(d)] + [pos[noisy_col]]

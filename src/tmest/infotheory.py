@@ -4,10 +4,11 @@ soft-cosine weights built from it, and the KL order-preservation bounds.
 MI is computed with a plug-in histogram estimator: the feature column is
 discretized into equal-frequency bins and the discrete f-divergence between
 the empirical joint and the product of marginals is evaluated in closed form.
-Bins are found by sorting: a batch of `_BATCH` columns is argsorted once, the
-bin edges are ``np.quantile``'s linear quantiles read off the sorted values,
-each bin is a run of sorted positions, and one ``np.bincount`` of the sorted
-labels gives the joint counts of the whole batch.  All logarithms are base 2.
+Each column is binned on its own: it is argsorted, the bin edges are
+``np.quantile``'s linear quantiles read off the sorted values, each bin is a
+run of sorted positions, and one ``np.bincount`` of the sorted labels gives
+the joint counts.  The working set is a few N-vectors, however many columns
+there are.  All logarithms are base 2.
 The f-divergence is named by a string of `core.DIVERGENCES`: "kl" or "tv".
 """
 
@@ -21,7 +22,6 @@ from .similarity import SimilarityWeights
 
 WEIGHT_FLOOR = 1e-3   # smallest allowed weight after min-max normalization
 LOG_MI_FLOOR = 1e-6   # floor before taking log2 of an MI value
-_BATCH = 8            # feature columns binned per sort
 
 
 def _interior_edges(ordered, bins):
@@ -63,6 +63,8 @@ def _checked(features, labels, bins):
     features, labels = _reals(features, "features", frozen=False), _int_labels(labels, "labels")
     if features.ndim != 2:
         raise DataError(f"features must be a 2-d array (rows x dims), got {features.ndim}-d")
+    if features.shape[1] == 0:
+        raise DataError(f"features must have at least one column, got shape {features.shape}")
     if labels.shape != features.shape[:1]:
         raise DataError(f"need one label per feature row: {features.shape[0]} rows, "
                         f"labels of shape {labels.shape}")
@@ -71,24 +73,15 @@ def _checked(features, labels, bins):
     return features, labels
 
 
-def _fmi_batch(columns, labels, kind, bins):
-    """f-MI of each column of a few checked feature columns."""
-    n, ny = labels.size, int(labels.max()) + 1
-    # at most three (columns x n) arrays are alive at once
-    block = np.ascontiguousarray(columns.T)
-    order = np.argsort(block, axis=1)
-    ordered = np.take_along_axis(block, order, axis=1)
-    del block
-    key = labels[order]
-    del order
-    size = np.empty(len(ordered), dtype=np.intp)
-    for r, col in enumerate(ordered):
-        bounds = np.searchsorted(col, _interior_edges(col, bins), side="left")
-        size[r] = bounds.size + 1
-        runs = np.diff(bounds, prepend=0, append=n)
-        key[r] += ny * (bins * r + np.repeat(np.arange(size[r]), runs))
-    counts = np.bincount(key.ravel(), minlength=len(key) * bins * ny).reshape(-1, bins, ny)
-    return [_divergence(c[:m], kind) for c, m in zip(counts, size)]
+def _fmi_column(column, labels, ny, kind, bins):
+    """f-MI of one contiguous checked feature column against labels below ny."""
+    order = np.argsort(column)
+    ordered = column[order]
+    bounds = np.searchsorted(ordered, _interior_edges(ordered, bins), side="left")
+    runs = np.diff(bounds, prepend=0, append=column.size)
+    key = labels[order] + ny * np.repeat(np.arange(bounds.size + 1), runs)
+    counts = np.bincount(key, minlength=(bounds.size + 1) * ny).reshape(-1, ny)
+    return _divergence(counts, kind)
 
 
 @dataclass
@@ -107,7 +100,7 @@ class MIEstimate:
 
 def estimate_fmi_per_dim(features, labels, kind="tv", bins=15):
     """Plug-in f-MI of every feature column against integer labels, each on
-    its own equal-frequency bins; columns are binned `_BATCH` at a time.
+    its own equal-frequency bins.
 
     "kl" gives classical mutual information in bits; "tv" gives the total
     variation between the empirical joint and the marginal product, which
@@ -117,9 +110,9 @@ def estimate_fmi_per_dim(features, labels, kind="tv", bins=15):
         raise DataError(f"unknown f-divergence kind {kind!r} "
                         f"(choose from {', '.join(DIVERGENCES)})")
     features, labels = _checked(features, labels, bins)
-    return MIEstimate([v for start in range(0, features.shape[1], _BATCH)
-                       for v in _fmi_batch(features[:, start:start + _BATCH], labels,
-                                           kind, bins)])
+    ny = int(labels.max()) + 1
+    return MIEstimate([_fmi_column(np.ascontiguousarray(column), labels, ny, kind, bins)
+                       for column in features.T])
 
 
 def build_weights(mi, activation="minmax"):

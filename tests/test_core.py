@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 from dataclasses import asdict, fields
 from itertools import chain
@@ -42,6 +43,23 @@ def test_load_rejects_missing_column(tmp_csv):
     path = tmp_csv("nofeat.csv", CSV_BASIC.replace("f0", "x0"))
     with pytest.raises(DataError, match="nofeat.csv: no feature columns"):
         tm.load_dataset(path)
+
+
+@pytest.mark.parametrize("header,schema,message", [
+    ("f0,f1,f3,noisy_label", None, "feature column 'f3' follows a gap: 'f2' is missing"),
+    ("a,f1,f4,y", {"f0": "a", "f2": "b", "noisy_label": "y"},
+     "feature column 'f4' follows a gap: 'b' is missing"),
+    ("f0,f1,z,noisy_label", {"f3": "z"}, "feature column 'z' follows a gap: 'f2' is missing"),
+], ids=["plain", "schema-missing", "schema-follower"])
+def test_load_rejects_gap_in_feature_numbering(tmp_csv, header, schema, message):
+    path = tmp_csv("gap.csv", header + "\n" + "1,2,3,0\n1,2,3,1\n2,3,4,0\n")
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: {message}$"):
+        tm.load_dataset(path, schema=schema)
+
+
+def test_load_ignores_non_canonical_feature_names(tmp_csv):
+    path = tmp_csv("d.csv", "f0,f1,f01,f3x,noisy_label\n" + "1,2,3,4,0\n1,2,3,4,1\n2,3,4,5,0\n")
+    assert tm.load_dataset(path).d == 2
 
 
 @pytest.mark.parametrize("header,column", [

@@ -119,6 +119,9 @@ MALFORMED_INPUTS = [
     ("estimate_fmi_per_dim.labels",
      lambda: tm.estimate_fmi_per_dim([[float(i)] for i in range(20)], [0, 1] * 9 + [0]),
      r"^need one label per feature row: 20 rows, labels of shape \(19,\)$"),
+    ("estimate_fmi_per_dim.no_columns",
+     lambda: tm.estimate_fmi_per_dim(np.zeros((20, 0)), [0, 1] * 10),
+     r"^features must have at least one column, got shape \(20, 0\)$"),
     ("MIEstimate.empty", lambda: tm.MIEstimate([]), "^per_dim must be a non-empty vector$"),
     ("MIEstimate.2-d", lambda: tm.MIEstimate([[0.1], [0.2]]),
      "^per_dim must be a non-empty vector$"),

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from tmest.cli import main
 from tmest.core import DIVERGENCES, DataError, Dataset, NoiseRatePair, save_dataset
 from tmest.infotheory import (
-    _BATCH,
     MIEstimate,
     build_weights,
     estimate_fmi_per_dim,
@@ -140,7 +139,8 @@ def test_estimate_fmi_rejects_fractional_labels():
 
 
 def _reference_fmi(column, labels, kind, bins):
-    """Per-column plug-in f-MI from np.quantile edges and np.searchsorted."""
+    """Per-column plug-in f-MI from np.quantile edges and np.searchsorted,
+    with KL clamped at 0 as `estimate_fmi_per_dim` documents."""
     edges = np.quantile(column, np.linspace(0.0, 1.0, bins + 1))
     b = np.searchsorted(np.unique(edges)[1:-1], column, side="right")
     nb, ny = int(b.max()) + 1, int(labels.max()) + 1
@@ -150,7 +150,7 @@ def _reference_fmi(column, labels, kind, bins):
     if kind == "tv":
         return 0.5 * float(np.abs(joint - prod).sum())
     nz = joint > 0
-    return float(np.sum(joint[nz] * np.log2(joint[nz] / prod[nz])))
+    return max(float(np.sum(joint[nz] * np.log2(joint[nz] / prod[nz]))), 0.0)
 
 
 @pytest.mark.parametrize("k", [2, 3, 10])
@@ -179,8 +179,41 @@ def test_per_dim_bit_identical_to_per_column_reference(k, n):
             assert _fmi(x[:, j], y, kind) == expect[j]
 
 
+# one feature column of n rows, of each kind the f-MI must bin exactly
+COLUMN_KINDS = {
+    "continuous": lambda rng, y: rng.normal(size=y.size),
+    "constant": lambda rng, y: np.full(y.size, 2.5),
+    "three-valued": lambda rng, y: rng.integers(0, 3, y.size).astype(float),
+    "mostly-zeros": lambda rng, y: np.where(rng.random(y.size) < rng.uniform(0.5, 0.999),
+                                            0.0, rng.normal(size=y.size)),
+    "label-bearing": lambda rng, y: y + 0.3 * rng.normal(size=y.size),
+    "huge": lambda rng, y: 1e300 * rng.normal(size=y.size),
+    "tiny": lambda rng, y: 1e-300 * rng.normal(size=y.size),
+    "rounded": lambda rng, y: np.round(rng.normal(size=y.size), 1),
+    "signed-zeros": lambda rng, y: rng.choice([0.0, -0.0], y.size),
+    "poisson": lambda rng, y: rng.poisson(0.3, y.size).astype(float),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bins=st.integers(2, 64), k=st.integers(2, 10),
+       extra_rows=st.integers(0, 300), kind=st.sampled_from(DIVERGENCES),
+       columns=st.lists(st.sampled_from(sorted(COLUMN_KINDS)), min_size=1, max_size=8))
+def test_per_dim_matches_reference_and_ignores_order(seed, bins, k, extra_rows, kind, columns):
+    rng = np.random.default_rng(seed)
+    n = max(bins, 15) + extra_rows
+    y = rng.integers(0, k, n)
+    x = np.column_stack([COLUMN_KINDS[name](rng, y) for name in columns])
+    per_dim = estimate_fmi_per_dim(x, y, kind, bins).per_dim
+    expect = [_reference_fmi(x[:, j], y, kind, bins) for j in range(x.shape[1])]
+    np.testing.assert_array_equal(per_dim, expect)
+    rows, cols = rng.permutation(n), rng.permutation(x.shape[1])
+    shuffled = estimate_fmi_per_dim(x[rows][:, cols], y[rows], kind, bins).per_dim
+    np.testing.assert_array_equal(shuffled, per_dim[cols])
+
+
 def test_per_dim_working_set_bounded():
-    # traced peak: three arrays of one batch of columns, however many columns
+    # traced peak: a few n-vectors of one column, however many columns
     rng = np.random.default_rng(4)
     n, d = 20_000, 40
     x, y = rng.normal(size=(n, d)), rng.integers(0, 2, n)
@@ -190,7 +223,7 @@ def test_per_dim_working_set_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * _BATCH * n * 8 + (1 << 20)
+    assert peak <= 8 * n * 8 + (1 << 20)
 
 
 def test_per_dim_ordering():

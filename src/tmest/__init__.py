@@ -1,9 +1,8 @@
 """Noise transition matrix estimation from nearest-neighbor consensus
 statistics with information-weighted soft cosine similarity."""
 
-from .core import (Dataset, EstimatorConfig, NoiseRatePair, OptimizerConfig,
-                   Report, TransitionMatrix, dump_json, load_dataset, save_dataset,
-                   save_json, validate_transition)
+from .core import (Dataset, EstimatorConfig, NoiseRatePair, Report, TransitionMatrix,
+                   dump_json, load_dataset, save_dataset, save_json)
 from .evaluation import DownstreamResult, estimation_error, train_linear
 from .hoc import (ConsensusStatistics, HocSolution, count_consensus,
                   model_consensus, solve_transition)

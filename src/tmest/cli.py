@@ -11,8 +11,8 @@ import sys
 from dataclasses import replace
 
 from .core import (ACTIVATIONS, DIVERGENCES, VARIANTS, DataError, EstimatorConfig,
-                   NoiseRatePair, OptimizerConfig, TransitionMatrix, dump_json,
-                   load_dataset, save_dataset, save_json)
+                   NoiseRatePair, TransitionMatrix, dump_json, load_dataset,
+                   save_dataset, save_json)
 from .evaluation import estimation_error, train_linear
 from .infotheory import build_weights, estimate_fmi_per_dim, kl_order_gap, practical_gap
 from .noise import NoiseScheme, avg_noise_rate_from_r, build_transition, inject_noise
@@ -21,11 +21,9 @@ from .pipeline import estimate
 
 def _cmd_estimate(args):
     data = load_dataset(args.input, k=args.k)
-    config = EstimatorConfig(
-        variant=args.variant, bins=args.bins, activation=args.activation,
-        seed=args.seed,
-        optimizer=OptimizerConfig(max_iters=args.max_iters, tolerance=args.tolerance),
-    )
+    config = EstimatorConfig(variant=args.variant, bins=args.bins, activation=args.activation,
+                             max_iters=args.max_iters, tolerance=args.tolerance,
+                             seed=args.seed)
     true_t = TransitionMatrix.load(args.true_t) if args.true_t else None
     report = estimate(data, config, true_t=true_t)
     if args.output:
@@ -129,9 +127,9 @@ def build_parser():
     pe.add_argument("--variant", default=EstimatorConfig.variant, choices=VARIANTS)
     pe.add_argument("--output", default=None)
     pe.add_argument("--true-t", dest="true_t", default=None)
-    pe.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters,
+    pe.add_argument("--max-iters", type=int, default=EstimatorConfig.max_iters,
                     help="EM iteration cap per solver start")
-    pe.add_argument("--tolerance", type=float, default=OptimizerConfig.tolerance,
+    pe.add_argument("--tolerance", type=float, default=EstimatorConfig.tolerance,
                     help="EM stops at a log-likelihood gain <= TOLERANCE / N")
     pe.set_defaults(func=_cmd_estimate)
 

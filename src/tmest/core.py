@@ -164,28 +164,18 @@ class Dataset:
         return self.features.shape[1]
 
 
-def load_dataset(path, schema=None, k=None):
+def load_dataset(path, k=None):
     """Read a dataset from CSV.
 
     Expected columns: ``f0..f{d-1}``, ``noisy_label`` and optionally
     ``clean_label`` and ``id``, in any order and among other columns.  A
     feature column after a gap in that numbering (``f3`` without ``f2``) is
-    an error, not a silently dropped column.
-    ``schema`` maps these canonical names to the actual column names in the
-    file.  The header is one CSV record, read by the same parser as the
-    rows, so a quoted name may hold a line break.  Blank lines are skipped
-    anywhere, also before the header.  Fields may be quoted,
-    ``#`` is data, not a comment, and ``id`` is read as text.  K is inferred
-    as 1 + max label unless given.
+    an error, not a silently dropped column.  The header is one CSV record,
+    read by the same parser as the rows, so a quoted name may hold a line
+    break.  Blank lines are skipped anywhere, also before the header.  Fields
+    may be quoted, ``#`` is data, not a comment, and ``id`` is read as text.
+    K is inferred as 1 + max label unless given.
     """
-    schema = schema or {}
-
-    def col(name):
-        return schema.get(name, name)
-
-    noisy_col = col("noisy_label")
-    clean_col = col("clean_label")
-    id_col = col("id")
     csv_format = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)
     try:  # a handle with newline="" keeps a CR inside a quoted field
         with open(path, newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
@@ -196,25 +186,23 @@ def load_dataset(path, schema=None, k=None):
                 raise DataError(f"{path}: empty file")
             pos = {name: i for i, name in enumerate(header)}  # a repeated name: its last place
             repeated = {name for i, name in enumerate(header) if pos[name] != i}
-            if noisy_col not in pos:
-                raise DataError(f"{path}: missing column '{noisy_col}'")
+            if "noisy_label" not in pos:
+                raise DataError(f"{path}: missing column 'noisy_label'")
 
             d = 0
-            while col(f"f{d}") in pos:
+            while f"f{d}" in pos:
                 d += 1
             if d == 0:
                 raise DataError(f"{path}: no feature columns found (expected f0, f1, ...)")
-            # a header name that `schema` reads as f<k> past the first missing one
-            canonical = {actual: name for name, actual in schema.items()}
-            for name in header:
-                feature = re.fullmatch(r"f([1-9][0-9]*)", canonical.get(name, name))
+            for name in header:  # f<k> past the first missing one
+                feature = re.fullmatch(r"f([1-9][0-9]*)", name)
                 if feature and int(feature[1]) > d:
                     raise DataError(f"{path}: feature column '{name}' follows a gap: "
-                                    f"'{col(f'f{d}')}' is missing")
+                                    f"'f{d}' is missing")
 
             fields = [("features", np.float64, (d,)), ("noisy", np.int64)]
-            usecols = [pos[col(f"f{i}")] for i in range(d)] + [pos[noisy_col]]
-            for name, column, dtype in (("clean", clean_col, np.int64), ("id", id_col, object)):
+            usecols = [pos[f"f{i}"] for i in range(d)] + [pos["noisy_label"]]
+            for name, column, dtype in (("clean", "clean_label", np.int64), ("id", "id", object)):
                 if column in pos:
                     fields.append((name, dtype))
                     usecols.append(pos[column])
@@ -232,8 +220,8 @@ def load_dataset(path, schema=None, k=None):
     except ValueError as exc:
         raise DataError(f"{path}: failed to parse: {exc}") from None
     noisy = table["noisy"]
-    clean = table["clean"] if clean_col in pos else None
-    ids = table["id"].tolist() if id_col in pos else None
+    clean = table["clean"] if "clean_label" in pos else None
+    ids = table["id"].tolist() if "id" in pos else None
 
     if k is None:
         k = int(noisy.max()) + 1 if clean is None else int(max(noisy.max(), clean.max())) + 1
@@ -332,19 +320,6 @@ class TransitionMatrix:
             raise DataError(f"{path}: {exc}") from None
 
 
-def validate_transition(t, p=None):
-    """Check row-stochasticity of a square matrix and wrap it.
-
-    Entries are returned unchanged; a row sum off by more than ROW_SUM_ATOL
-    (1e-9), or an entry below -ROW_SUM_ATOL or above 1 + ROW_SUM_ATOL, is an
-    error.
-    """
-    t = _reals(t, "transition entries", frozen=False)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DataError("transition matrix must be square")
-    return TransitionMatrix(t.shape[0], t, p=p)
-
-
 @dataclass
 class NoiseRatePair:
     """Binary noise rates e1 = P(noisy=2|clean=1), e2 = P(noisy=1|clean=2),
@@ -362,34 +337,28 @@ class NoiseRatePair:
 
 
 @dataclass
-class OptimizerConfig:
-    """Solver budget: EM from each start stops after `max_iters` iterations,
-    or once an iteration gains at most `tolerance / n` in the per-triplet
-    log-likelihood for n counted triplets."""
-
-    max_iters: int = 3000
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        _integer(self.max_iters, "max_iters", 1)
-        self.tolerance = _real(self.tolerance, "tolerance", above=0)
-
-
-@dataclass
 class EstimatorConfig:
+    """One estimation run.  The solver's EM from each start stops after
+    `max_iters` iterations, or once an iteration gains at most
+    `tolerance / n` in the per-triplet log-likelihood for n counted
+    triplets; `seed` draws its spectral start."""
+
     variant: str = "plain-hoc"
     bins: int = 15
     activation: str = "minmax"
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    max_iters: int = 3000
+    tolerance: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise DataError(f"unknown variant '{self.variant}' "
+        if not isinstance(self.variant, str) or self.variant not in VARIANTS:
+            raise DataError(f"unknown variant {self.variant!r} "
                             f"(choose from {', '.join(VARIANTS)})")
         if self.activation not in ACTIVATIONS:
             raise DataError(f"unknown activation '{self.activation}'")
         _integer(self.bins, "bins", 2)
+        _integer(self.max_iters, "max_iters", 1)
+        self.tolerance = _real(self.tolerance, "tolerance", above=0)
         _integer(self.seed, "seed")
 
 

@@ -215,8 +215,9 @@ def _maximize_trace(t, p):
     return t[perm], p[perm]
 
 
-def solve_transition(stats, k, config, seed=0):
-    """Recover the maximum-likelihood (T, p) of the counted triplets.
+def solve_transition(stats, config):
+    """Recover the maximum-likelihood (T, p) of the counted triplets, under
+    the `max_iters`, `tolerance` and `seed` of an `EstimatorConfig`.
 
     `_em` runs from the spectral start of `_spectral_start` (its contraction
     vector drawn from the "optimizer" stream of `seed`) when it exists, then
@@ -226,9 +227,8 @@ def solve_transition(stats, k, config, seed=0):
     totals the EM iterations of both runs; `converged` is true only if the
     winning run stopped on the tolerance rule, not at `max_iters`.
     """
-    if stats.k != _integer(k, "k", 2):
-        raise DataError("statistics do not match the requested class count")
-    spectral = _spectral_start(stats, stage_rng(seed, "optimizer"))
+    k = stats.k
+    spectral = _spectral_start(stats, stage_rng(config.seed, "optimizer"))
     starts = [] if spectral is None else [spectral]
     starts.append((np.exp(2.0 * np.eye(k)) / (np.exp(2.0) + k - 1), np.full(k, 1 / k)))
 

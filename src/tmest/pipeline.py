@@ -58,7 +58,7 @@ def estimate(data, config, true_t=None):
     lap("neighbors")
     stats = count_consensus(graph.labels(data.noisy_labels), data.k)
     lap("count")
-    solution = solve_transition(stats, data.k, config.optimizer, seed=config.seed)
+    solution = solve_transition(stats, config)
     lap("solve")
 
     return Report(

@@ -1,7 +1,7 @@
 """Weighted (soft) cosine similarity and exact 2-nearest-neighbor retrieval.
 
-`soft_cosine` takes any form of W; the search takes the identity or a
-diagonal W, the forms the pipeline builds, and rejects a full W.  The
+W is the identity or a diagonal w, one weight per feature dimension, as
+the pipeline builds it from the per-dimension scores.  The
 neighbor count m is one constant, `_NEIGHBORS` = 2: HOC's triplet is a row
 and its two nearest rows.  The search is brute force over the G distinct
 unit rows, O(G^2 d), and its neighbor sets are those of float64 scores,
@@ -39,34 +39,23 @@ _BUFFER_BYTES = 128 << 20   # most bytes per score block
 
 @dataclass
 class SimilarityWeights:
-    """Soft-cosine weight W, whose form follows `w`: None is the identity, a
-    nonnegative vector a diagonal, a symmetric PSD square matrix full."""
+    """Soft-cosine weight W = diag(w): None is the identity, else `w` is a
+    nonnegative vector."""
 
     w: np.ndarray | None = None
 
     def __post_init__(self):
         if self.w is None:
             return
-        self.w = _reals(self.w, f"{self.form} weights")
-        if self.w.ndim == 1:
-            if not np.all(self.w >= 0):
-                raise DataError("diagonal weights must be a nonnegative vector")
-            return
-        if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
-            raise DataError(f"full weights must be a square matrix, got shape {self.w.shape}")
-        if np.max(np.abs(self.w - self.w.T)) > 1e-9:
-            raise DataError("full weight matrix must be symmetric")
-        evals = np.linalg.eigvalsh(self.w)
-        if evals[0] < -1e-9 * max(1.0, evals[-1]):
-            raise DataError("full weight matrix must be positive semidefinite")
-
-    @property
-    def form(self):
-        return "identity" if self.w is None else ("diagonal", "full")[_array(self.w).ndim != 1]
+        self.w = _reals(self.w, "diagonal weights")
+        if self.w.ndim != 1:
+            raise DataError(f"diagonal weights must be a vector, got shape {self.w.shape}")
+        if not np.all(self.w >= 0):
+            raise DataError("diagonal weights must be a nonnegative vector")
 
 
 def soft_cosine(x, x2, weights):
-    """Cosine similarity under the quadratic form x^T W x', for any form of W.
+    """Cosine similarity under the quadratic form x^T W x'.
 
     Equals hard cosine for identity weights; requires two finite vectors of
     one length, both with strictly positive weighted norm.
@@ -77,11 +66,10 @@ def soft_cosine(x, x2, weights):
     w = np.ones(x.size) if weights.w is None else weights.w
     if w.shape[0] != x.size:
         raise DataError("weight size does not match the feature dimension")
-    w = np.diag(w) if w.ndim == 1 else w
-    n1, n2 = x @ w @ x, x2 @ w @ x2
+    n1, n2 = x @ (w * x), x2 @ (w * x2)
     if n1 <= 0 or n2 <= 0:
         raise DataError("degenerate vector under W")
-    return float(x @ w @ x2 / np.sqrt(n1 * n2))
+    return float(x @ (w * x2) / np.sqrt(n1 * n2))
 
 
 @dataclass
@@ -301,7 +289,7 @@ def get_2nn_triplets(data, weights):
     """Exact `_NEIGHBORS`-NN (2-NN) of every row under soft-cosine distance 1 - Sim_W.
 
     W is the identity or a diagonal w of length d, which scales each row to
-    x * sqrt(w); a full W or another length raises `DataError`.  Returns the
+    x * sqrt(w); another length raises `DataError`.  Returns the
     neighbor graph of row ids; ``graph.labels(y)`` reads any label vector
     through it.  Rows with zero weighted norm are excluded as queries and as
     candidates, so ``graph.rows`` lists the rows that were kept; fewer than
@@ -312,8 +300,6 @@ def get_2nn_triplets(data, weights):
     float64; `_expand` then maps every group back to its rows.
     """
     w = weights.w
-    if w is not None and w.ndim != 1:
-        raise DataError("the neighbor search takes identity or diagonal weights, got full")
     if w is not None and w.size != data.features.shape[1]:
         raise DataError("weight size does not match the feature dimension")
     xw = data.features if w is None else data.features * np.sqrt(w)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tmest as tm
-from tmest.core import EstimatorConfig, NoiseRatePair, OptimizerConfig
+from tmest.core import EstimatorConfig, NoiseRatePair
 from tmest.evaluation import estimation_error, train_linear
 from tmest.hoc import count_consensus, model_consensus, solve_transition
 from tmest.infotheory import estimate_fmi_per_dim, kl_order_gap, practical_gap
@@ -32,25 +32,26 @@ def test_criterion_01_soft_cosine_goldens(capsys):
     x1 = np.array([1.0, 0.0, 1.0])
     x2 = np.array([0.0, 1.0, 0.0])
     x3 = np.array([0.8, 1.0, 0.7])
+    # a full PSD W = Q diag(lam) Q' is the diagonal form diag(lam) on the rotated Q'x
+    lam, q = np.linalg.eigh([[1.0, -0.2, -0.5], [-0.2, 1.0, 0.5], [-0.5, 0.5, 1.0]])
     cases = [
-        (SimilarityWeights(), 0.7268, 0.6852),
-        (SimilarityWeights([1.0, 1.0, 0.1]), 0.6383, 0.7695),
-        (SimilarityWeights([[1.0, -0.2, -0.5],
-                            [-0.2, 1.0, 0.5],
-                            [-0.5, 0.5, 1.0]]), 0.7519, 0.8522),
+        (np.eye(3), SimilarityWeights(), 0.7268, 0.6852),
+        (np.eye(3), SimilarityWeights([1.0, 1.0, 0.1]), 0.6383, 0.7695),
+        (q, SimilarityWeights(lam), 0.7519, 0.8522),
     ]
     devs = []
-    for w, g13, g23 in cases:
-        devs.append(abs(soft_cosine(x1, x3, w) - g13))
-        devs.append(abs(soft_cosine(x2, x3, w) - g23))
+    for basis, w, g13, g23 in cases:
+        r1, r2, r3 = (basis.T @ x for x in (x1, x2, x3))
+        devs.append(abs(soft_cosine(r1, r3, w) - g13))
+        devs.append(abs(soft_cosine(r2, r3, w) - g23))
     ok = max(devs) <= 0.005
     _verdict(capsys, 1, ok,
              f"six soft-cosine goldens, max deviation {max(devs):.2e} (tol 5e-3)")
 
 
 def test_criterion_02_random_guess_error(capsys):
-    t_true = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
-    guess = tm.validate_transition([[0.5, 0.5], [0.5, 0.5]])
+    t_true = tm.TransitionMatrix(2, [[0.7, 0.3], [0.3, 0.7]])
+    guess = tm.TransitionMatrix(2, [[0.5, 0.5], [0.5, 0.5]])
     err = estimation_error(t_true, guess)
     ok = abs(err - 0.2) <= 1e-12
     _verdict(capsys, 2, ok, f"random-guess error {err!r} vs 0.2 (tol 1e-12)")
@@ -107,12 +108,11 @@ def test_criterion_05_whitening_properties(capsys):
 
 def test_criterion_06_hoc_oracle_recovery(capsys):
     start = time.perf_counter()
-    cfg = OptimizerConfig()
     cases = []
 
     # Monte-Carlo cross-check of the consensus model itself
     rng = np.random.default_rng(0)
-    t_mc = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
+    t_mc = tm.TransitionMatrix(2, [[0.7, 0.3], [0.3, 0.7]])
     p_mc = np.array([0.5, 0.5])
     clean = rng.choice(2, size=500_000, p=p_mc)
     # three independent noisy draws through T per clean label
@@ -126,13 +126,13 @@ def test_criterion_06_hoc_oracle_recovery(capsys):
 
     for t_mat, p in [([[0.7, 0.3], [0.3, 0.7]], [0.5, 0.5]),
                      ([[0.6, 0.4], [0.2, 0.8]], [0.4, 0.6])]:
-        t_true = tm.validate_transition(t_mat)
-        sol = solve_transition(model_consensus(t_true, p), 2, cfg, seed=0)
+        t_true = tm.TransitionMatrix(2, t_mat)
+        sol = solve_transition(model_consensus(t_true, p), EstimatorConfig(seed=0))
         cases.append(("K=2", estimation_error(t_true, sol.t), 0.01))
     for seed in (7, 8, 9):
         t_true = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=seed), 3)
         p = np.random.default_rng(seed).dirichlet(np.ones(3))
-        sol = solve_transition(model_consensus(t_true, p), 3, cfg, seed=seed)
+        sol = solve_transition(model_consensus(t_true, p), EstimatorConfig(seed=seed))
         cases.append(("K=3", estimation_error(t_true, sol.t), 0.02))
 
     elapsed = time.perf_counter() - start

@@ -132,7 +132,7 @@ def test_inject_noise_dirichlet_command(tmp_path, capsys):
 
 def test_eval_command(noisy_csv, tmp_path, capsys):
     _, t_path, t = noisy_csv
-    est = tm.validate_transition([[0.5, 0.5], [0.5, 0.5]])
+    est = tm.TransitionMatrix(2, [[0.5, 0.5], [0.5, 0.5]])
     est_path = tmp_path / "est.json"
     tm.save_json(est, str(est_path))
     rc = main(["eval", "--estimated", str(est_path), "--true", t_path])
@@ -199,7 +199,7 @@ def test_train_forward_requires_t(noisy_csv, tmp_path, capsys):
 def test_train_rejects_matrix_of_other_size(noisy_csv, tmp_path, capsys):
     csv_path = noisy_csv[0]
     t_path = str(tmp_path / "t3.json")
-    tm.save_json(tm.validate_transition(np.eye(3)), t_path)
+    tm.save_json(tm.TransitionMatrix(3, np.eye(3)), t_path)
     err = _error_of(capsys, ["train", "--train", csv_path, "--test", csv_path,
                              "--mode", "forward", "--t", t_path, "--epochs", "5"])
     assert err.startswith("tmest train: error: transition matrix has K=3, "

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tmest as tm
-from tmest.core import DataError, EstimatorConfig, OptimizerConfig, Report, stage_rng
+from tmest.core import DataError, EstimatorConfig, Report, stage_rng
 from tmest.hoc import count_consensus, model_consensus
 
 
@@ -45,16 +45,13 @@ def test_load_rejects_missing_column(tmp_csv):
         tm.load_dataset(path)
 
 
-@pytest.mark.parametrize("header,schema,message", [
-    ("f0,f1,f3,noisy_label", None, "feature column 'f3' follows a gap: 'f2' is missing"),
-    ("a,f1,f4,y", {"f0": "a", "f2": "b", "noisy_label": "y"},
-     "feature column 'f4' follows a gap: 'b' is missing"),
-    ("f0,f1,z,noisy_label", {"f3": "z"}, "feature column 'z' follows a gap: 'f2' is missing"),
-], ids=["plain", "schema-missing", "schema-follower"])
-def test_load_rejects_gap_in_feature_numbering(tmp_csv, header, schema, message):
+@pytest.mark.parametrize("header,message", [
+    ("f0,f1,f3,noisy_label", "feature column 'f3' follows a gap: 'f2' is missing"),
+], ids=["plain"])
+def test_load_rejects_gap_in_feature_numbering(tmp_csv, header, message):
     path = tmp_csv("gap.csv", header + "\n" + "1,2,3,0\n1,2,3,1\n2,3,4,0\n")
     with pytest.raises(DataError, match=f"^{re.escape(path)}: {message}$"):
-        tm.load_dataset(path, schema=schema)
+        tm.load_dataset(path)
 
 
 def test_load_ignores_non_canonical_feature_names(tmp_csv):
@@ -166,7 +163,6 @@ def test_load_reads_a_line_break_in_a_quoted_header_name(tmp_path, newline):
     data = tm.load_dataset(str(path))
     np.testing.assert_array_equal(data.features, [[0.5], [1.5], [-2.0], [3.25]])
     assert data.noisy_labels.tolist() == [0, 1, 1, 0] and data.ids is None
-    assert tm.load_dataset(str(path), schema={"id": name}).ids == ["a", "b", "c", "d"]
 
 
 def test_label_out_of_range(tmp_csv):
@@ -188,13 +184,6 @@ def test_clean_label_column_round_trip(tmp_path):
     np.testing.assert_array_equal(back.noisy_labels, data.noisy_labels)
     np.testing.assert_array_equal(back.clean_labels, data.clean_labels)
     assert back.k == data.k
-
-
-def test_schema_mapping(tmp_csv):
-    text = CSV_BASIC.replace("noisy_label", "y").replace("f0", "a")
-    data = tm.load_dataset(tmp_csv("s.csv", text),
-                           schema={"noisy_label": "y", "f0": "a"})
-    assert (data.n, data.d) == (4, 3)
 
 
 def test_ids_round_trip_as_text(tmp_path):
@@ -284,35 +273,35 @@ def test_save_dataset_matches_csv_writer(tmp_path_factory, data, n, d):
 
 
 def test_validate_transition_identity():
-    t = tm.validate_transition(np.eye(2))
+    t = tm.TransitionMatrix(2, np.eye(2))
     np.testing.assert_array_equal(t.t, np.eye(2))
 
 
 def test_validate_transition_symmetric():
-    t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
+    t = tm.TransitionMatrix(2, [[0.7, 0.3], [0.3, 0.7]])
     assert t.k == 2
 
 
 def test_validate_transition_bad_row_sum():
     with pytest.raises(DataError, match="row sum"):
-        tm.validate_transition([[0.7, 0.2], [0.3, 0.7]])
+        tm.TransitionMatrix(2, [[0.7, 0.2], [0.3, 0.7]])
 
 
 def test_validate_transition_negative_entry():
     with pytest.raises(DataError):
-        tm.validate_transition([[1.2, -0.2], [0.3, 0.7]])
+        tm.TransitionMatrix(2, [[1.2, -0.2], [0.3, 0.7]])
 
 
 def test_validate_transition_not_square():
-    with pytest.raises(DataError, match="square"):
-        tm.validate_transition([[0.5, 0.5]])
+    with pytest.raises(DataError, match=r"^expected a 2x2 matrix, got \(1, 2\)$"):
+        tm.TransitionMatrix(2, [[0.5, 0.5]])
 
 
 @pytest.mark.parametrize("t", [[[np.nan, np.nan], [np.nan, np.nan]],
                                [[0.8, np.nan], [0.1, 0.9]]])
 def test_validate_transition_nan_entry(t):
     with pytest.raises(DataError, match="entries"):
-        tm.validate_transition(t)
+        tm.TransitionMatrix(2, t)
 
 
 def test_nan_prior_rejected():
@@ -366,7 +355,7 @@ def test_transition_from_json_missing_key(obj):
 
 def test_matrix_without_prior_writes_null(tmp_path):
     path = tmp_path / "t.json"
-    tm.save_json(tm.validate_transition([[0.8, 0.2], [0.1, 0.9]]), str(path))
+    tm.save_json(tm.TransitionMatrix(2, [[0.8, 0.2], [0.1, 0.9]]), str(path))
     assert json.loads(path.read_text()) == {"k": 2, "t": [[0.8, 0.2], [0.1, 0.9]],
                                             "p": None}
     assert tm.TransitionMatrix.load(str(path)).p is None
@@ -388,7 +377,7 @@ def test_load_rejects_non_json(tmp_path):
 
 
 def test_load_reads_estimated_t_of_a_report(tmp_path):
-    t = tm.validate_transition([[0.7, 0.3], [0.2, 0.8]], p=[0.4, 0.6])
+    t = tm.TransitionMatrix(2, [[0.7, 0.3], [0.2, 0.8]], p=[0.4, 0.6])
     path = tmp_path / "report.json"
     tm.save_json(Report(estimated_t=t, consensus=model_consensus(t)), str(path))
     back = tm.TransitionMatrix.load(str(path))
@@ -415,7 +404,7 @@ def test_load_rejects_non_utf8_json(tmp_path):
 
 
 def test_report_json_has_every_field(tmp_path):
-    t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]], p=[0.4, 0.6])
+    t = tm.TransitionMatrix(2, [[0.7, 0.3], [0.3, 0.7]], p=[0.4, 0.6])
     stats = model_consensus(t)
     report = Report(estimated_t=t, consensus=stats,
                     weights=tm.SimilarityWeights([1.0, 0.5]),
@@ -433,8 +422,7 @@ def test_report_json_has_every_field(tmp_path):
         "error": 0.01,
         "converged": True,
         "config_echo": {"variant": "plain-hoc", "bins": 15, "activation": "minmax",
-                        "optimizer": {"max_iters": 3000, "tolerance": 1e-6},
-                        "seed": 0},
+                        "max_iters": 3000, "tolerance": 1e-6, "seed": 0},
         "timings": {"solve": 0.1},
         "excluded_rows": 2,
         "flags": ["label 1 has no c1 mass"],
@@ -470,7 +458,7 @@ def test_seed_must_be_an_integer(seed):
 
 
 def test_report_error_range():
-    t = tm.validate_transition(np.eye(2))
+    t = tm.TransitionMatrix(2, np.eye(2))
     with pytest.raises(DataError):
         Report(estimated_t=t, consensus=None, error=1.5)
 
@@ -494,12 +482,13 @@ def test_estimator_config_validation():
     {"max_iters": 2.5}, {"max_iters": 100.0}, {"max_iters": True},
 ])
 def test_optimizer_config_validation(kwargs):
+    # the solver budget of the one run config
     with pytest.raises(DataError):
-        OptimizerConfig(**kwargs)
+        EstimatorConfig(**kwargs)
 
 
 def test_optimizer_config_accepts_positive_values():
-    cfg = OptimizerConfig(max_iters=np.int64(7), tolerance=1e-3)
+    cfg = EstimatorConfig(max_iters=np.int64(7), tolerance=1e-3)
     assert cfg.max_iters == 7 and cfg.tolerance == 1e-3
 
 

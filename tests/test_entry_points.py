@@ -10,8 +10,7 @@ from tmest.core import DataError, stage_rng
 from tmest.whitening import WhiteningTransform
 
 RATES = tm.NoiseRatePair(0.1, 0.2)
-W3 = [[1.0, -0.2, -0.5], [-0.2, 1.0, 0.5], [-0.5, 0.5, 1.0]]  # a full PSD weight on d = 3
-STATS = tm.model_consensus(tm.validate_transition(np.eye(2)), [0.5, 0.5])
+STATS = tm.model_consensus(tm.TransitionMatrix(2, np.eye(2)), [0.5, 0.5])
 DATA = tm.Dataset([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [2.0, 0.5]], [0, 1, 0, 1], 2,
                   clean_labels=[0, 1, 0, 1])
 
@@ -25,15 +24,11 @@ FLOAT_INPUTS = [
     ("TransitionMatrix.from_json",
      lambda v: tm.TransitionMatrix.from_json({"k": 2, "t": [[1.0, 0.0], [v, 1.0]]}),
      "transition entries"),
-    ("validate_transition", lambda v: tm.validate_transition([[1.0, 0.0], [v, 1.0]]),
-     "transition entries"),
-    ("validate_transition.p", lambda v: tm.validate_transition(np.eye(2), p=[v, 0.5]),
-     "prior"),
     ("NoiseRatePair", lambda v: tm.NoiseRatePair(0.1, v), "noise rate e2"),
-    ("OptimizerConfig", lambda v: tm.OptimizerConfig(tolerance=v), "tolerance"),
+    ("EstimatorConfig.tolerance", lambda v: tm.EstimatorConfig(tolerance=v), "tolerance"),
     ("ConsensusStatistics", lambda v: tm.ConsensusStatistics([[[v, 0.5], [0, 0]],
                                                                [[0, 0], [0, 0.5]]], 4), "c3"),
-    ("model_consensus", lambda v: tm.model_consensus(tm.validate_transition(np.eye(2)),
+    ("model_consensus", lambda v: tm.model_consensus(tm.TransitionMatrix(2, np.eye(2)),
                                                      [0.5, v]), "prior p"),
     ("estimate_fmi_per_dim",
      lambda v: tm.estimate_fmi_per_dim([[float(i)] for i in range(19)] + [[v]], [0, 1] * 10),
@@ -50,8 +45,6 @@ FLOAT_INPUTS = [
     ("SimilarityWeights", lambda v: tm.SimilarityWeights([1.0, v]), "diagonal weights"),
     ("SimilarityWeights.diagonal", lambda v: tm.SimilarityWeights([1.0, v]),
      "diagonal weights"),
-    ("SimilarityWeights.full", lambda v: tm.SimilarityWeights([[1.0, v], [v, 1.0]]),
-     "full weights"),
     ("soft_cosine.x", lambda v: tm.soft_cosine([1.0, v], [1.0, 0.0], tm.SimilarityWeights()),
      "^x must"),
     ("soft_cosine.x2", lambda v: tm.soft_cosine([1.0, 0.0], [v, 1.0], tm.SimilarityWeights()),
@@ -95,13 +88,13 @@ LABEL_IDS = [case[0] for case in LABEL_INPUTS]
 # and inputs of the wrong shape, length, sign or name
 MALFORMED_INPUTS = [
     ("SimilarityWeights.ragged", lambda: tm.SimilarityWeights([[1.0], [1.0, 2.0]]),
-     "^full weights must be numeric"),
+     "^diagonal weights must be numeric"),
     ("NeighborTriplets.labels.ragged",
      lambda: tm.NeighborTriplets([0, 1], [[1, 2], [2, 0]]).labels([[0], [1, 0], [0]]),
      "^need one label per row id of the graph"),
     ("Dataset.ids", lambda: tm.Dataset(np.zeros((3, 2)), [0, 1, 0], 2, ids=5),
      "^ids must have length N"),
-    ("Report.error", lambda: tm.Report(tm.validate_transition(np.eye(2)), STATS, error="a"),
+    ("Report.error", lambda: tm.Report(tm.TransitionMatrix(2, np.eye(2)), STATS, error="a"),
      "^error must be finite"),
     ("Dataset.features.1-d", lambda: tm.Dataset(np.zeros(3), [0, 1, 0], 2),
      "^features must be a 2-d matrix with d >= 1$"),
@@ -130,24 +123,20 @@ MALFORMED_INPUTS = [
      r"^beta must lie in \[0, 1\), got 1.0$"),
     ("SimilarityWeights.negative", lambda: tm.SimilarityWeights([1.0, -0.5]),
      "^diagonal weights must be a nonnegative vector$"),
+    ("EstimatorConfig.variant.list", lambda: tm.EstimatorConfig(variant=["a-tv"]),
+     r"^unknown variant \['a-tv'\] \(choose from plain-hoc, "),
     ("stage_rng", lambda: stage_rng(0, "nope"), "^unknown stage 'nope'$"),
     ("get_2nn_triplets.weight_size",
      lambda: tm.get_2nn_triplets(tm.Dataset(np.eye(3), [0, 1, 0], 2),
                                  tm.SimilarityWeights([1.0, 1.0])),
      "^weight size does not match the feature dimension$"),
     ("soft_cosine.weight_size",
-     lambda: tm.soft_cosine([1.0, 0.0], [0.0, 1.0], tm.SimilarityWeights(W3)),
+     lambda: tm.soft_cosine([1.0, 0.0], [0.0, 1.0], tm.SimilarityWeights([1.0, 1.0, 1.0])),
      "^weight size does not match the feature dimension$"),
-    ("get_2nn_triplets.full", lambda: tm.get_2nn_triplets(DATA, tm.SimilarityWeights(np.eye(2))),
-     "^the neighbor search takes identity or diagonal weights, got full$"),
-    ("clusterability_rate.full",
-     lambda: tm.clusterability_rate(DATA, tm.SimilarityWeights(np.eye(2))),
-     "^the neighbor search takes identity or diagonal weights, got full$"),
 ]
 
 CLASS_COUNT_INPUTS = [
     ("count_consensus", lambda k: tm.count_consensus(np.zeros((3, 3), dtype=int), k)),
-    ("solve_transition", lambda k: tm.solve_transition(STATS, k, tm.OptimizerConfig())),
     ("build_transition", lambda k: tm.build_transition(tm.NoiseScheme("dirichlet",
                                                                       avg_rate=0.2), k)),
 ]
@@ -207,18 +196,18 @@ def test_class_count_rejects_non_number(call, k):
         call(k)
 
 
-@pytest.mark.parametrize("build,field", [
-    (lambda a: tm.Dataset(a, [0, 1, 0], 2), "features"),
-    (lambda a: tm.TransitionMatrix(3, a), "t"),
-    (lambda a: tm.SimilarityWeights(a), "w"),
+@pytest.mark.parametrize("build,field,make", [
+    (lambda a: tm.Dataset(a, [0, 1, 0], 2), "features", np.eye),
+    (lambda a: tm.TransitionMatrix(3, a), "t", np.eye),
+    (lambda a: tm.SimilarityWeights(a), "w", np.ones),
 ], ids=["Dataset", "TransitionMatrix", "SimilarityWeights"])
-def test_container_copies_a_writeable_input(build, field):
-    x = np.eye(3)
+def test_container_copies_a_writeable_input(build, field, make):
+    x = make(3)
     kept = getattr(build(x), field)
     assert x.flags.writeable and not kept.flags.writeable
-    x[0, 0] = 0.5  # the caller's array stays writeable and detached
-    assert kept[0, 0] == 1.0
-    frozen = np.eye(3)
+    x.flat[0] = 0.5  # the caller's array stays writeable and detached
+    assert kept.flat[0] == 1.0
+    frozen = make(3)
     frozen.setflags(write=False)
     assert getattr(build(frozen), field) is frozen  # a read-only input is not copied
 

@@ -12,30 +12,30 @@ from conftest import two_blob_dataset
 
 
 def test_estimation_error_zero_on_equal():
-    t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
+    t = tm.TransitionMatrix(2, [[0.7, 0.3], [0.3, 0.7]])
     assert estimation_error(t, t) == 0.0
 
 
 def test_estimation_error_random_guess_hand_value():
     # uniform 0.5 everywhere vs symmetric 0.7: sum |dT| = 0.8, / (2*2) = 0.2
-    t_true = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
-    guess = tm.validate_transition([[0.5, 0.5], [0.5, 0.5]])
+    t_true = tm.TransitionMatrix(2, [[0.7, 0.3], [0.3, 0.7]])
+    guess = tm.TransitionMatrix(2, [[0.5, 0.5], [0.5, 0.5]])
     assert estimation_error(t_true, guess) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_estimation_error_symmetric_and_bounded():
     rng = np.random.default_rng(0)
     for k in (2, 3, 5):
-        a = tm.validate_transition(rng.dirichlet(np.ones(k), size=k))
-        b = tm.validate_transition(rng.dirichlet(np.ones(k), size=k))
+        a = tm.TransitionMatrix(k, rng.dirichlet(np.ones(k), size=k))
+        b = tm.TransitionMatrix(k, rng.dirichlet(np.ones(k), size=k))
         e = estimation_error(a, b)
         assert e == estimation_error(b, a)
         assert 0.0 <= e <= 1.0
 
 
 def test_estimation_error_k_mismatch():
-    a = tm.validate_transition(np.eye(2))
-    b = tm.validate_transition(np.eye(3))
+    a = tm.TransitionMatrix(2, np.eye(2))
+    b = tm.TransitionMatrix(3, np.eye(3))
     with pytest.raises(DataError):
         estimation_error(a, b)
 
@@ -60,7 +60,7 @@ def test_train_clean_labels_high_accuracy():
 def test_plain_equals_forward_with_identity():
     train, test, _ = _noisy_split(1, 0.2, 0.2)
     plain = train_linear(train, test, t=None, epochs=50, seed=5)
-    ident = train_linear(train, test, t=tm.validate_transition(np.eye(2)),
+    ident = train_linear(train, test, t=tm.TransitionMatrix(2, np.eye(2)),
                          epochs=50, seed=5)
     assert plain.last_epoch_accuracy == ident.last_epoch_accuracy
     assert plain.best_epoch_accuracy == ident.best_epoch_accuracy
@@ -93,7 +93,7 @@ def test_train_input_checks():
     with pytest.raises(DataError):
         train_linear(train, other, epochs=5)
     with pytest.raises(DataError, match="transition matrix has K=3, but the data have K=2"):
-        train_linear(train, test, t=tm.validate_transition(np.eye(3)), epochs=5)
+        train_linear(train, test, t=tm.TransitionMatrix(3, np.eye(3)), epochs=5)
 
 
 @pytest.mark.parametrize("kwargs,message", [

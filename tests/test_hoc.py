@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tmest as tm
-from tmest.core import DataError, OptimizerConfig, TransitionMatrix, stage_rng
+from tmest.core import DataError, EstimatorConfig, TransitionMatrix, stage_rng
 from tmest.evaluation import estimation_error
 import tmest.hoc
 from tmest.hoc import (
@@ -105,7 +105,7 @@ def test_c3_size_has_a_ceiling():
 
 
 def test_model_consensus_symmetric_hand_values():
-    t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
+    t = tm.TransitionMatrix(2, [[0.7, 0.3], [0.3, 0.7]])
     stats = model_consensus(t, [0.5, 0.5])
     np.testing.assert_allclose(stats.c1, [0.5, 0.5], atol=1e-12)
     assert stats.c2[0, 0] == pytest.approx(0.29, abs=1e-12)
@@ -115,7 +115,7 @@ def test_model_consensus_symmetric_hand_values():
 
 
 def test_model_consensus_noiseless_identity():
-    t = tm.validate_transition(np.eye(3))
+    t = tm.TransitionMatrix(3, np.eye(3))
     p = np.array([0.2, 0.3, 0.5])
     stats = model_consensus(t, p)
     np.testing.assert_allclose(stats.c1, p)
@@ -128,7 +128,7 @@ def test_model_consensus_noiseless_identity():
 def test_model_consensus_matches_definition():
     # c_n is the p-weighted sum over clean labels i of the n-fold outer product of t_i
     rng = np.random.default_rng(4)
-    t = tm.validate_transition(rng.dirichlet(np.ones(4), size=4))
+    t = tm.TransitionMatrix(4, rng.dirichlet(np.ones(4), size=4))
     p = rng.dirichlet(np.ones(4))
     stats = model_consensus(t, p)
     outer = np.multiply.outer
@@ -225,18 +225,18 @@ def test_count_consensus_recounts_labels_on_fixed_graph(k, seeds):
 
 def _kl(stats, t, p):
     """Sum of c3 log(c3/m3) over the observed cells, from the model tensors."""
-    m3 = model_consensus(tm.validate_transition(t), p).c3
+    m3 = model_consensus(tm.TransitionMatrix(len(t), t), p).c3
     seen = stats.c3 > 0
     return float((stats.c3[seen] * np.log(stats.c3[seen] / m3[seen])).sum())
 
 
 def test_loss_zero_at_truth():
     # final_loss is the KL divergence of the counts from the returned fit
-    t = tm.validate_transition([[0.8, 0.2], [0.25, 0.75]])
+    t = tm.TransitionMatrix(2, [[0.8, 0.2], [0.25, 0.75]])
     p = np.array([0.35, 0.65])
-    assert abs(solve_transition(model_consensus(t, p), 2, OptimizerConfig()).final_loss) <= 1e-15
+    assert abs(solve_transition(model_consensus(t, p), EstimatorConfig()).final_loss) <= 1e-15
     stats = _sampled_stats(t, p, 2000, seed=0)
-    sol = solve_transition(stats, 2, OptimizerConfig())
+    sol = solve_transition(stats, EstimatorConfig())
     assert sol.final_loss == pytest.approx(_kl(stats, sol.t.t, sol.t.p), rel=1e-9)
     assert 0 < sol.final_loss < _kl(stats, t.t, p)
 
@@ -247,7 +247,7 @@ def test_em_log_likelihood_never_decreases(k):
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=k), k)
     stats = _sampled_stats(t, rng.dirichlet(np.ones(k)), 3000, seed=k)
     t0, p0 = rng.dirichlet(np.ones(k), size=k), rng.dirichlet(np.ones(k))
-    losses = [_em(t0, p0, stats, OptimizerConfig(max_iters=m))[2] for m in range(1, 40)]
+    losses = [_em(t0, p0, stats, EstimatorConfig(max_iters=m))[2] for m in range(1, 40)]
     assert np.all(np.diff(losses) <= 1e-15)
     assert losses[-1] < losses[0]
 
@@ -256,7 +256,7 @@ def test_polish_from_truth_stops_at_once():
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=2), 6)
     p = np.random.default_rng(2).dirichlet(np.ones(6))
     t_em, p_em, loss, iters, converged = _em(t.t, p, model_consensus(t, p),
-                                             OptimizerConfig())
+                                             EstimatorConfig())
     assert converged and iters <= 2
     assert abs(loss) <= 1e-15
     np.testing.assert_allclose(t_em, t.t, rtol=0, atol=1e-14)
@@ -269,9 +269,9 @@ def test_polish_from_truth_stops_at_once():
     ([[0.8, 0.1, 0.1], [0.05, 0.85, 0.1], [0.15, 0.05, 0.8]], [0.2, 0.5, 0.3]),
 ])
 def test_exact_counts_recover_truth(t_true, p_true):
-    t = tm.validate_transition(t_true)
+    t = tm.TransitionMatrix(len(t_true), t_true)
     stats = model_consensus(t, p_true)
-    sol = solve_transition(stats, t.k, OptimizerConfig(), seed=0)
+    sol = solve_transition(stats, EstimatorConfig(seed=0))
     assert sol.converged
     assert np.max(np.abs(sol.t.t - t.t)) < 1e-4
     assert np.max(np.abs(sol.t.p - np.asarray(p_true))) < 1e-4
@@ -285,7 +285,7 @@ def test_oracle_round_trip_dirichlet(k):
     # start short of the truth after max_iters; the spectral start is exact
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=0), k)
     p = np.random.default_rng(0).dirichlet(np.ones(k))
-    sol = solve_transition(model_consensus(t, p), k, OptimizerConfig(), seed=0)
+    sol = solve_transition(model_consensus(t, p), EstimatorConfig(seed=0))
     assert estimation_error(t, sol.t) <= 1e-6
     assert sol.converged
 
@@ -296,10 +296,10 @@ def test_oracle_round_trip_property(k, seed):
     # random diagonally dominant T: diagonal 1 - u with u < 1/2, u spread over the row
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.05, 0.45, k)
-    t = tm.validate_transition(
-        [np.insert(u[i] * rng.dirichlet(np.ones(k - 1)), i, 1 - u[i]) for i in range(k)])
+    t = tm.TransitionMatrix(
+        k, [np.insert(u[i] * rng.dirichlet(np.ones(k - 1)), i, 1 - u[i]) for i in range(k)])
     p = rng.dirichlet(np.ones(k))
-    sol = solve_transition(model_consensus(t, p), k, OptimizerConfig(), seed=seed)
+    sol = solve_transition(model_consensus(t, p), EstimatorConfig(seed=seed))
     assert estimation_error(t, sol.t) <= 1e-8
     np.testing.assert_allclose(sol.t.p, p, atol=1e-8)
     assert sol.converged
@@ -308,22 +308,22 @@ def test_oracle_round_trip_property(k, seed):
 def test_converged_false_at_max_iters():
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
     stats = _sampled_stats(t, np.full(10, 0.1), 20_000, seed=1)
-    capped = solve_transition(stats, 10, OptimizerConfig(max_iters=5), seed=0)
+    capped = solve_transition(stats, EstimatorConfig(max_iters=5, seed=0))
     assert not capped.converged
     assert capped.iterations_used == 10  # both starts, capped at 5 EM iterations each
-    assert solve_transition(stats, 10, OptimizerConfig(), seed=0).converged
+    assert solve_transition(stats, EstimatorConfig(seed=0)).converged
 
 
 def test_em_stops_at_first_small_gain():
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
     stats = _sampled_stats(t, np.full(10, 0.1), 20_000, seed=1)
     start = (t.t, np.full(10, 0.1))
-    *_, iters, converged = _em(*start, stats, OptimizerConfig())
+    *_, iters, converged = _em(*start, stats, EstimatorConfig())
     assert converged and iters > 2
-    losses = [_em(*start, stats, OptimizerConfig(max_iters=m))[2]
+    losses = [_em(*start, stats, EstimatorConfig(max_iters=m))[2]
               for m in (iters - 2, iters - 1, iters)]
     # the last iteration gains at most tolerance / n; the one before gains more
-    stop = _stop_gain(stats, OptimizerConfig())
+    stop = _stop_gain(stats, EstimatorConfig())
     assert stop == 1e-6 / 20_000
     assert losses[1] - losses[2] <= stop < losses[0] - losses[1]
 
@@ -343,7 +343,7 @@ def test_oracle_skips_near_identity_polish(monkeypatch):
     calls = _count_runs(monkeypatch)
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=0), 20)
     p = np.random.default_rng(0).dirichlet(np.ones(20))
-    sol = solve_transition(model_consensus(t, p), 20, OptimizerConfig(), seed=0)
+    sol = solve_transition(model_consensus(t, p), EstimatorConfig(seed=0))
     assert sol.converged and sol.iterations_used <= 2
     assert len(calls) == 1
 
@@ -352,7 +352,7 @@ def test_counted_statistics_run_both_polishes(monkeypatch):
     calls = _count_runs(monkeypatch)
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
     stats = _sampled_stats(t, np.full(10, 0.1), 10_000, seed=3)
-    sol = solve_transition(stats, 10, OptimizerConfig(), seed=0)
+    sol = solve_transition(stats, EstimatorConfig(seed=0))
     assert len(calls) == 2
     # the spectral start goes first, the near-identity start (softmax(2I), uniform p) second
     near_identity = np.exp(2.0 * np.eye(10))
@@ -369,7 +369,7 @@ def test_near_identity_start_wins_on_counted_statistics(monkeypatch):
     calls = _count_runs(monkeypatch)
     t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=3), 3)
     stats = _sampled_stats(t, np.full(3, 1 / 3), 2000, seed=5)
-    sol = solve_transition(stats, 3, OptimizerConfig(), seed=0)
+    sol = solve_transition(stats, EstimatorConfig(seed=0))
     assert len(calls) == 2
     (_, spectral), (_, near_identity) = calls
     assert near_identity[2] < spectral[2] - 1e-4
@@ -379,22 +379,22 @@ def test_near_identity_start_wins_on_counted_statistics(monkeypatch):
 
 
 def test_spectral_start_exact_and_dropped_when_rank_deficient():
-    t = tm.validate_transition([[0.8, 0.1, 0.1], [0.05, 0.85, 0.1], [0.15, 0.05, 0.8]])
+    t = tm.TransitionMatrix(3, [[0.8, 0.1, 0.1], [0.05, 0.85, 0.1], [0.15, 0.05, 0.8]])
     p = np.array([0.2, 0.5, 0.3])
     t0, p0 = _spectral_start(model_consensus(t, p), stage_rng(0, "optimizer"))
     order = np.argmax(t0, axis=1)
     np.testing.assert_allclose(t0[np.argsort(order)], t.t, atol=1e-12)
     np.testing.assert_allclose(p0[np.argsort(order)], p, atol=1e-12)
     # two identical rows: sym(c2) has rank 2, so (T, p) is not identified
-    same = tm.validate_transition([[0.8, 0.2, 0.0], [0.8, 0.2, 0.0], [0.1, 0.1, 0.8]])
+    same = tm.TransitionMatrix(3, [[0.8, 0.2, 0.0], [0.8, 0.2, 0.0], [0.1, 0.1, 0.8]])
     assert _spectral_start(model_consensus(same, p), stage_rng(0, "optimizer")) is None
 
 
 def test_solver_deterministic():
-    t = tm.validate_transition([[0.75, 0.25], [0.2, 0.8]])
+    t = tm.TransitionMatrix(2, [[0.75, 0.25], [0.2, 0.8]])
     stats = model_consensus(t, [0.45, 0.55])
-    a = solve_transition(stats, 2, OptimizerConfig(), seed=11)
-    b = solve_transition(stats, 2, OptimizerConfig(), seed=11)
+    a = solve_transition(stats, EstimatorConfig(seed=11))
+    b = solve_transition(stats, EstimatorConfig(seed=11))
     np.testing.assert_array_equal(a.t.t, b.t.t)
     np.testing.assert_array_equal(a.t.p, b.t.p)
     assert a.final_loss == b.final_loss
@@ -404,7 +404,7 @@ def test_solver_rows_sum_to_one():
     rng = np.random.default_rng(2)
     labels = rng.integers(0, 3, (2000, 3))
     stats = count_consensus(labels, 3)
-    sol = solve_transition(stats, 3, OptimizerConfig(), seed=3)
+    sol = solve_transition(stats, EstimatorConfig(seed=3))
     np.testing.assert_allclose(sol.t.t.sum(axis=1), np.ones(3), atol=1e-9)
     assert sol.t.p.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(sol.t.t >= 0) and np.all(sol.t.p >= 0)
@@ -446,8 +446,8 @@ def test_maximize_trace_attains_brute_force_maximum(k, levels, seed):
 
 
 def test_solution_fields():
-    t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
-    sol = solve_transition(model_consensus(t, [0.5, 0.5]), 2, OptimizerConfig())
+    t = tm.TransitionMatrix(2, [[0.7, 0.3], [0.3, 0.7]])
+    sol = solve_transition(model_consensus(t, [0.5, 0.5]), EstimatorConfig())
     assert isinstance(sol, HocSolution)
     assert isinstance(sol.t, TransitionMatrix)
     # the prior lives on the matrix alone
@@ -457,11 +457,3 @@ def test_solution_fields():
     assert sol.iterations_used >= 1
     assert sol.final_loss >= 0.0
 
-
-def test_stats_k_mismatch():
-    t = tm.validate_transition([[0.7, 0.3], [0.3, 0.7]])
-    with pytest.raises(DataError):
-        solve_transition(model_consensus(t, [0.5, 0.5]), 3, OptimizerConfig())
-    for k in (2.0, 2.5):  # never truncated to the statistics' K = 2
-        with pytest.raises(DataError, match=f"k must be an integer >= 2, got {k}"):
-            solve_transition(model_consensus(t, [0.5, 0.5]), k, OptimizerConfig())

@@ -270,7 +270,7 @@ def test_build_weights_unknown_activation():
        activation=st.sampled_from(["minmax", "log-minmax"]))
 def test_build_weights_in_unit_interval_with_max_one(mi, activation):
     weights = build_weights(MIEstimate(np.array(mi)), activation)
-    assert weights.form == "diagonal" and weights.w.shape == (len(mi),)
+    assert weights.w.shape == (len(mi),)
     assert np.all(weights.w > 0) and np.all(weights.w <= 1)
     assert weights.w.max() == 1.0
 

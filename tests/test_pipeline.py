@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,7 +38,7 @@ def test_each_variant_runs_and_reports(variant):
     report = estimate(data, EstimatorConfig(variant=variant), true_t=t)
     assert isinstance(report, Report)
     assert report.error is not None and 0.0 <= report.error <= 1.0
-    tm.validate_transition(report.estimated_t.t)
+    tm.TransitionMatrix(data.k, report.estimated_t.t)
     assert report.config_echo["variant"] == variant
     for stage in ("whitening", "weights", "neighbors", "count", "solve"):
         assert report.timings[stage] >= 0.0
@@ -171,6 +172,23 @@ def test_estimate_deterministic():
     b = estimate(data, cfg, true_t=t)
     np.testing.assert_array_equal(a.estimated_t.t, b.estimated_t.t)
     assert a.error == b.error
+
+
+def test_config_echo_rebuilds_the_config(tmp_path):
+    # the flat echo is every field of the config: it rebuilds the run bit for bit,
+    # also after a trip through the report file
+    data, t = _noisy_blobs(4, n=1200)
+    cfg = EstimatorConfig(variant="x-kl", bins=9, activation="log-minmax",
+                          max_iters=200, tolerance=1e-5, seed=21)
+    report = estimate(data, cfg, true_t=t)
+    path = tmp_path / "report.json"
+    tm.save_json(report, str(path))
+    for echo in (report.config_echo, json.loads(path.read_text())["config_echo"]):
+        rebuilt = EstimatorConfig(**echo)
+        assert rebuilt == cfg
+        again = estimate(data, rebuilt, true_t=t).estimated_t
+        assert again.t.tobytes() == report.estimated_t.t.tobytes()
+        assert again.p.tobytes() == report.estimated_t.p.tobytes()
 
 
 def test_unobserved_label_is_flagged():

@@ -6,7 +6,9 @@ neighbor count m is one constant, `_NEIGHBORS` = 2: HOC's triplet is a row
 and its two nearest rows.  The search is brute force over the G distinct
 unit rows, O(G^2 d), and its neighbor sets are those of float64 scores,
 exact and deterministic.  Every row is weighted (x * sqrt(w)) and
-normalized once.  Rows with zero weighted norm have no defined similarity;
+normalized once, by `_unit_rows`, which `soft_cosine` shares; rows are first
+scaled by powers of two, so no squared norm overflows or underflows at any
+finite row scale.  Rows with zero weighted norm have no defined similarity;
 they are left out as queries and as candidates.  A copy is a row whose
 weighted unit row is bitwise equal to another's: an exact duplicate, a
 power-of-two scaling, or a row that differs only on zero-weight axes.
@@ -55,7 +57,8 @@ class SimilarityWeights:
 
 
 def soft_cosine(x, x2, weights):
-    """Cosine similarity under the quadratic form x^T W x'.
+    """Cosine similarity under the quadratic form x^T W x': the dot product of
+    the two weighted unit rows (`_unit_rows`) that the 2-NN search scores.
 
     Equals hard cosine for identity weights; requires two finite vectors of
     one length, both with strictly positive weighted norm.
@@ -63,13 +66,36 @@ def soft_cosine(x, x2, weights):
     x, x2 = _reals(x, "x", frozen=False), _reals(x2, "x2", frozen=False)
     if x.ndim != 1 or x.shape != x2.shape:
         raise DataError(f"need two vectors of one length, got shapes {x.shape} and {x2.shape}")
-    w = np.ones(x.size) if weights.w is None else weights.w
-    if w.shape[0] != x.size:
-        raise DataError("weight size does not match the feature dimension")
-    n1, n2 = x @ (w * x), x2 @ (w * x2)
-    if n1 <= 0 or n2 <= 0:
+    rows, unit = _unit_rows(np.stack([x, x2]), weights)
+    if rows.size < 2:
         raise DataError("degenerate vector under W")
-    return float(x @ (w * x2) / np.sqrt(n1 * n2))
+    return float(unit[0] @ unit[1])
+
+
+def _scaled(a):
+    """Scale each row of a, in place, by the power of two that puts its largest
+    |entry| in [1/2, 1); a zero row stays zero.  Returns a."""
+    peak = np.maximum(a.max(axis=1, initial=0), -a.min(axis=1, initial=0))
+    return np.ldexp(a, -np.frexp(peak)[1][:, None], out=a)
+
+
+def _unit_rows(x, weights):
+    """(rows, unit): the rows of x with a nonzero weighted row x * sqrt(w), and
+    those weighted rows normalized; a w whose length is not d is a `DataError`.
+
+    Powers of two scale each row of x and sqrt(w) before the product, and each
+    weighted row after it (`_scaled`).  That is exact, so no product or squared
+    norm overflows, and an exact power-of-two scaling of a row has its unit
+    row.  Rows of normal range get the bits of unscaled x*sqrt(w)/||x*sqrt(w)||.
+    """
+    if weights.w is not None and weights.w.size != x.shape[1]:
+        raise DataError("weight size does not match the feature dimension")
+    xw = _scaled(np.array(x, dtype=float))
+    if weights.w is not None:
+        _scaled(np.multiply(xw, _scaled(np.sqrt(weights.w)[None]), out=xw))
+    sq = np.einsum("ij,ij->i", xw, xw)
+    np.divide(xw, np.sqrt(sq)[:, None], out=xw, where=sq[:, None] > 0)
+    return np.flatnonzero(sq > 0), xw[sq > 0]
 
 
 @dataclass
@@ -111,9 +137,12 @@ def _score_bound(d):
     order, s64 the same product scored in float64.  With u = 2^-24 (float32)
     and v = 2^-53 (float64) unit roundoff, and gamma_n(u) = n u / (1 - n u):
 
-    * The rows are x / sqrt(fl(sum x^2)), so ||a||, ||b|| <= 1 + e with
-      e = gamma_{d+2}(v): the squared norm is off by gamma_d(v), the square
-      root and the division by one rounding each.
+    * The rows are x / sqrt(fl(sum x^2)) for the scaled weighted rows x of
+      `_unit_rows`, so ||a||, ||b|| <= 1 + e with e = gamma_{d+2}(v): the
+      squared norm is off by gamma_d(v), the square root and the division by
+      one rounding each.  The largest |x_k| lies in [1/2, 1), so the squared
+      norm neither overflows nor underflows; a square that underflows is off
+      by at most 2^-1075, far inside the underflow term below.
     * Input rounding: fl32(a) = a + da with |da| <= u |a|, so
       |fl32(a) . fl32(b) - a . b| <= (2u + u^2) sum |a_k b_k|
       <= (2u + u^2)(1 + e)^2 by Cauchy-Schwarz.
@@ -160,9 +189,8 @@ def _distinct_rows(x):
     copy = lowest != np.arange(lowest.size)
     if not np.array_equal(bits[lowest[copy]], bits[copy]):
         _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return np.sort(first), rank[inverse.ravel()]
+    order = np.argsort(first)  # np.argsort(order) is each group's rank by lowest row
+    return first[order], np.argsort(order)[inverse.ravel()]
 
 
 def _top_candidates(sims):
@@ -293,24 +321,17 @@ def get_2nn_triplets(data, weights):
     neighbor graph of row ids; ``graph.labels(y)`` reads any label vector
     through it.  Rows with zero weighted norm are excluded as queries and as
     candidates, so ``graph.rows`` lists the rows that were kept; fewer than
-    `_NEIGHBORS` + 1 kept rows is an error.  The kept rows are normalized and
-    grouped by their unit rows (`_distinct_rows`).  A float32 pass over the
-    groups (`_best_groups`) gives each its entry table.  Groups that `_sure`
-    cannot settle from it, within twice `_score_bound`, are scored again in
-    float64; `_expand` then maps every group back to its rows.
+    `_NEIGHBORS` + 1 kept rows is an error.  The kept rows are normalized
+    (`_unit_rows`) and grouped by their unit rows (`_distinct_rows`).  A
+    float32 pass over the groups (`_best_groups`) gives each its entry table.
+    Groups that `_sure` cannot settle from it, within twice `_score_bound`,
+    are scored again in float64; `_expand` then maps every group back to its
+    rows.
     """
-    w = weights.w
-    if w is not None and w.size != data.features.shape[1]:
-        raise DataError("weight size does not match the feature dimension")
-    xw = data.features if w is None else data.features * np.sqrt(w)
-    sq = np.einsum("ij,ij->i", xw, xw)
-    rows = np.flatnonzero(sq > 0)
+    rows, unit = _unit_rows(data.features, weights)
     if rows.size <= _NEIGHBORS:
         raise DataError(f"need at least {_NEIGHBORS + 1} rows with nonzero weighted norm "
                         f"for {_NEIGHBORS}-NN triplets, got {rows.size}")
-    unit = xw[rows]
-    del xw
-    unit /= np.sqrt(sq[rows])[:, None]
     first, inverse = _distinct_rows(unit)
     unit = unit[first]
     counts = np.bincount(inverse)

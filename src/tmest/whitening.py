@@ -69,12 +69,16 @@ def fit_whitening(data):
 
     Directions whose eigenvalue falls below EIGEN_FLOOR * lambda_max are
     dropped; they carry no variance worth keeping and would blow up the
-    1/sqrt(lambda) rescaling.
+    1/sqrt(lambda) rescaling.  Features whose mean or covariance overflows
+    float64 raise `DataError`.
     """
     x = data.features
-    mean = x.mean(axis=0)
-    xc = x - mean
-    cov = xc.T @ xc / x.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        xc = x - mean
+        cov = xc.T @ xc / x.shape[0]
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise DataError("the features' mean or covariance overflows float64; rescale them")
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]

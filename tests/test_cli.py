@@ -299,6 +299,17 @@ def test_estimate_rejects_oversized_k(tmp_path, capsys):
     assert err.startswith("tmest estimate: error: K = 5001 classes is more than the 128 supported")
 
 
+def test_estimate_rejects_whitening_overflow(tmp_path, capsys):
+    # the covariance of features near 1e160 overflows float64, which is an
+    # input error (exit status 2), not a numpy traceback
+    data = two_blob_dataset(0, n=200)
+    path = tmp_path / "huge.csv"
+    tm.save_dataset(replace(data, features=data.features * 1e160), str(path))
+    err = _error_of(capsys, ["estimate", "--input", str(path), "--variant", "a-tv"])
+    assert err.startswith("tmest estimate: error: the features' mean or covariance "
+                          "overflows float64")
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--epochs", "0"], "epochs must be an integer >= 1, got 0"),
     (["--epochs", "-3"], "epochs must be an integer >= 1, got -3"),

@@ -133,6 +133,11 @@ MALFORMED_INPUTS = [
     ("soft_cosine.weight_size",
      lambda: tm.soft_cosine([1.0, 0.0], [0.0, 1.0], tm.SimilarityWeights([1.0, 1.0, 1.0])),
      "^weight size does not match the feature dimension$"),
+    ("soft_cosine.empty", lambda: tm.soft_cosine([], [], tm.SimilarityWeights()),
+     "^degenerate vector under W$"),
+    ("fit_whitening.overflow",
+     lambda: tm.fit_whitening(tm.Dataset(DATA.features * 1e160, [0, 1, 0, 1], 2)),
+     "^the features' mean or covariance overflows float64; rescale them$"),
 ]
 
 CLASS_COUNT_INPUTS = [

@@ -115,6 +115,29 @@ def test_whitened_variants_invariant_to_power_of_two_scale(seed, s):
         _assert_same_estimate(estimate(scaled, config), estimate(data, config))
 
 
+@pytest.mark.parametrize("s", [-900, -600, 600, 1000])
+def test_unwhitened_variants_invariant_to_power_of_two_scale(s):
+    # the 2-NN search scales each row by a power of two before it forms the
+    # squared norm, so no norm overflows or underflows at any finite scale
+    data, _ = _noisy_blobs(4, n=1500, e1=0.2, e2=0.2, d_noise=6)
+    scaled = replace(data, features=data.features * 2.0 ** s)
+    np.testing.assert_array_equal(scaled.features * 2.0 ** -s, data.features)
+    for variant in ("plain-hoc", "x-kl", "x-tv"):
+        config = EstimatorConfig(variant=variant)
+        _assert_same_estimate(estimate(scaled, config), estimate(data, config))
+
+
+def test_tiny_rows_are_kept():
+    # rows times 1e-310 (subnormal entries) still have a direction, although
+    # their unscaled squared norms underflow to zero
+    data, _ = _noisy_blobs(6, n=1500)
+    x = data.features.copy()
+    x[::3] *= 1e-310
+    for variant in ("plain-hoc", "x-kl", "x-tv"):
+        report = estimate(replace(data, features=x), EstimatorConfig(variant=variant))
+        assert report.excluded_rows == 0
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_whitened_variants_invariant_to_shift(seed):
     # centering removes a shift up to rounding, which moves no neighbor of

@@ -73,6 +73,11 @@ def test_scale_invariance():
     base = soft_cosine(X1, X3, w)
     assert soft_cosine(3.7 * X1, X3, w) == pytest.approx(base, abs=1e-12)
     assert soft_cosine(X1, 0.01 * X3, w) == pytest.approx(base, abs=1e-12)
+    for c in (1e-300, 1e300):
+        assert soft_cosine(c * X1, X3, w) == pytest.approx(base, abs=1e-12)
+        assert soft_cosine(X1, c * X3, w) == pytest.approx(base, abs=1e-12)
+    # a subnormal vector: X1's two equal entries keep its direction exactly
+    assert soft_cosine(5e-324 * X1, X3, w) == pytest.approx(base, abs=1e-12)
 
 
 def test_self_similarity_is_one():
@@ -442,6 +447,30 @@ def test_2nn_duplicate_rows_break_ties_to_lower_index(n, d, distinct, form, scal
     x = base[which] * 2.0 ** rng.integers(-3, 4, (n, 1)) if scaled else base[which]
     trip = get_2nn_triplets(tm.Dataset(x, rng.integers(0, 3, n), 3), weights)
     np.testing.assert_array_equal(trip.indices, expect)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(3, MANY_ROWS), d=st.integers(2, 8),
+       form=st.sampled_from(["identity", "diagonal"]),
+       scales=st.lists(st.integers(-900, 1000), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=300, d=4, form="identity", scales=[-900, 1000], seed=0)
+@example(n=300, d=4, form="diagonal", scales=[-900, 1000], seed=1)
+def test_2nn_invariant_to_power_of_two_row_scale(n, d, form, scales, seed):
+    # any rows times 2^s, exact and finite for s in [-900, 1000]: each row is
+    # scaled by a power of two before its squared norm is formed, so no norm
+    # overflows or underflows and the unit rows, hence the graph, keep their bits
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    y = rng.integers(0, 3, n)
+    weights = _weights_of(form, rng, d)
+    s = rng.choice(scales + [0], n)[:, None]
+    scaled = np.ldexp(x, s)
+    np.testing.assert_array_equal(np.ldexp(scaled, -s), x)
+    base = get_2nn_triplets(tm.Dataset(x, y, 3), weights)
+    moved = get_2nn_triplets(tm.Dataset(scaled, y, 3), weights)
+    np.testing.assert_array_equal(moved.rows, base.rows)
+    np.testing.assert_array_equal(moved.indices, base.indices)
 
 
 @pytest.mark.parametrize("sizes,zero", [

@@ -52,6 +52,14 @@ def test_all_zero_variance_errors():
         fit_whitening(_dataset(x))
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e307])
+def test_overflowing_moments_error(scale):
+    # at 1e160 the covariance overflows, at 1e307 the mean's sum does too
+    x = (1.0 + np.random.default_rng(4).random((50, 3))) * scale
+    with pytest.raises(DataError, match="^the features' mean or covariance overflows"):
+        fit_whitening(_dataset(x))
+
+
 def test_held_out_row_matches_dense_product():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(300, 5)) @ rng.normal(size=(5, 5))

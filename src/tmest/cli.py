@@ -128,7 +128,7 @@ def build_parser():
     pe.add_argument("--output", default=None)
     pe.add_argument("--true-t", dest="true_t", default=None)
     pe.add_argument("--max-iters", type=int, default=EstimatorConfig.max_iters,
-                    help="EM iteration cap per solver start")
+                    help="EM map cap per solver start")
     pe.add_argument("--tolerance", type=float, default=EstimatorConfig.tolerance,
                     help="EM stops at a log-likelihood gain <= TOLERANCE / N")
     pe.set_defaults(func=_cmd_estimate)

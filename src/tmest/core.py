@@ -338,10 +338,12 @@ class NoiseRatePair:
 
 @dataclass
 class EstimatorConfig:
-    """One estimation run.  The solver's EM from each start stops after
-    `max_iters` iterations, or once an iteration gains at most
+    """One estimation run.  The solver's SQUAREM-accelerated EM from each
+    start stops after `max_iters` EM maps, or once a map gains at most
     `tolerance / n` in the per-triplet log-likelihood for n counted
-    triplets; `seed` draws its spectral start."""
+    triplets; `seed` draws its spectral start.  An EM map is one E-step and
+    M-step, a map from an extrapolated point included, and the solution's
+    `iterations_used` counts the maps of both starts."""
 
     variant: str = "plain-hoc"
     bins: int = 15

@@ -8,12 +8,13 @@ where row i of TT (K x K^2) is t_i (x) t_i.  Only c3 is stored.
 `count_consensus` counts an (M, 3) label array such as 2-NN `graph.labels(y)`.
 `_moments` is the one implementation of this model.  The triplets thus follow
 a tied Dawid-Skene model, and the solver maximizes their likelihood
-sum c3 log m3 by EM from the closed-form spectral solution of the moments and
-from a near-identity start.
+sum c3 log m3 by SQUAREM-accelerated EM (`_em`) from the closed-form spectral
+solution of the moments and from a near-identity start.
 """
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,42 +110,97 @@ class HocSolution:
 def _stop_gain(stats, cfg):
     """Log-likelihood gain below which EM stops: `tolerance / n`, or machine
     epsilon on exact statistics (n == 0)."""
-    return cfg.tolerance / stats.n if stats.n > 0 else np.finfo(np.float64).eps
+    return cfg.tolerance / stats.n if stats.n > 0 else float(np.finfo(np.float64).eps)
+
+
+class _Point(NamedTuple):
+    """One EM iterate x = (T, p) with its loss and the model tensors there."""
+    x: np.ndarray
+    loss: float
+    m3: np.ndarray
+    tt: np.ndarray
 
 
 def _em(t, p, stats, cfg):
-    """EM for the maximum-likelihood (T, p) of the counted triplets.
+    """SQUAREM-accelerated EM for the maximum-likelihood (T, p) of the
+    counted triplets.  Returns (t, p, loss, maps, converged).
 
-    The E-step gives cell (a, b, c) to clean label i with weight
+    One EM map: the E-step gives cell (a, b, c) to clean label i with weight
     p_i t_ia t_ib t_ic / m3[a, b, c]; the M-step sets row i of T to clean
     label i's expected label counts over the three slots, normalized, and p_i
-    to a third of their total.  `loss` is the KL divergence sum c3 log(c3/m3);
-    EM stops once an iteration lowers it by at most `_stop_gain`, far below
-    the ~1/n multinomial noise of n counts, or after `max_iters` iterations.
+    to a third of their total.  m3 is symmetric, so those counts read c3
+    summed once over its three slot rotations, over m3.  `loss` is the KL
+    divergence sum c3 log(c3/m3), which no EM map raises.
+
+    Each SQUAREM cycle (Varadhan & Roland, Scand. J. Stat. 2008) maps x0 to
+    x1 and x2, with r = x1 - x0 and v = x2 - 2 x1 + x0.  Its S3 step length
+    a = -|r|/|v|, capped at -cap, extrapolates to x0 - 2 a r + a^2 v (rows
+    and p still sum to 1) when a < -1, and that point is mapped once more;
+    the plain x2 is kept instead if the point has an entry <= 0 (zeros that
+    EM holds, such as a label never seen, excepted) or its map ends above
+    x2's loss.  With a = -1 the third map is a plain one from x2.  The cap
+    starts at 1 and grows 4x after a kept step at the cap, shrinks 4x (not
+    below 1) after a rejected one, as in the authors' SQUAREM package, so
+    the huge steps of a nearly flat likelihood are not retried each cycle.
+    The loss never rises between kept points.  After each map EM stops once
+    the kept point's loss fell by at most `_stop_gain`, far below the ~1/n
+    multinomial noise of n counts (a rejected extrapolation is no such
+    stop), or after `max_iters` EM maps.
     """
     k = stats.k
+    stop = _stop_gain(stats, cfg)
     seen = np.flatnonzero(stats.c3)  # cells of c3 with counted triplets
     c = stats.c3.ravel()[seen]
+    rotated = (stats.c3 + stats.c3.transpose(1, 0, 2) + stats.c3.transpose(2, 0, 1)).ravel()
+    hit = rotated > 0
+    q = np.zeros(k ** 3)  # rotated c3 / m3 on its nonzero cells, 0 elsewhere
 
-    def fit(t, p):
-        m3, tt = _moments(t, p)
-        ratio = c / m3.ravel()[seen]
+    def fit(x):
+        """The _Point of x = (T, p) stacked as one (K + 1) x K array."""
+        m3, tt = _moments(x[:k], x[k])
+        m3 = m3.ravel()
         # the KL is >= 0; rounding can put an exact fit an ulp or so below
-        return max(float(c @ np.log(ratio)), 0.0), ratio, tt
+        return _Point(x, max(float(c @ np.log(c / m3[seen])), 0.0), m3, tt)
 
-    loss, ratio, tt = fit(t, p)
-    q = np.zeros((k, k, k))  # c3 / m3 on the observed cells, 0 elsewhere
-    for it in range(1, cfg.max_iters + 1):
-        q.flat[seen] = ratio
-        qs = (q + q.transpose(1, 0, 2) + q.transpose(2, 0, 1)).reshape(k, k * k)
-        s = p[:, None] * t * (tt @ qs.T)
+    def em_map(point):
+        np.divide(rotated, point.m3, out=q, where=hit)
+        s = point.x[k][:, None] * point.x[:k] * (point.tt @ q.reshape(k, k * k).T)
         mass = s.sum(axis=1)
-        t, p = s / mass[:, None], mass / 3
-        prev = loss
-        loss, ratio, tt = fit(t, p)
-        if prev - loss <= _stop_gain(stats, cfg):
-            return t, p, loss, it, True
-    return t, p, loss, cfg.max_iters, False
+        return fit(np.vstack([s / mass[:, None], mass / 3]))
+
+    def kept_points(x0):
+        """(point, judged) after each EM map: the kept point, and whether its
+        loss gain may stop EM."""
+        cap = 1.0
+        while True:
+            x1 = em_map(x0)
+            yield x1, True
+            x2 = em_map(x1)
+            yield x2, True
+            r = x1.x - x0.x
+            v = x2.x - x1.x - r
+            v_norm = np.linalg.norm(v)
+            step = min(cap, np.linalg.norm(r) / v_norm) if v_norm > 0 else 1.0  # -a
+            if step > 1:
+                live = x2.x > 0
+                xe = np.where(live, x0.x + 2 * step * r + step * step * v, 0.0)
+                x3 = em_map(fit(xe)) if np.all(xe > 0, where=live) else None
+                kept = x3 is not None and x3.loss <= x2.loss
+                x0 = x3 if kept else x2
+                if x3 is not None:
+                    yield x0, kept
+            else:
+                x0, kept = em_map(x2), True
+                yield x0, True
+            if step == cap:
+                cap = cap * 4 if kept else max(cap / 4, 1.0)
+
+    point = fit(np.vstack([t, p]))
+    for maps, (nxt, judged) in enumerate(kept_points(point), 1):
+        converged = judged and point.loss - nxt.loss <= stop
+        point = nxt
+        if converged or maps == cfg.max_iters:
+            return point.x[:k], point.x[k], point.loss, maps, converged
 
 
 def _spectral_start(stats, rng):
@@ -223,9 +279,11 @@ def solve_transition(stats, config):
     vector drawn from the "optimizer" stream of `seed`) when it exists, then
     from the row softmax of 2I with uniform p unless the best loss is already
     within the stop gain.  The lowest loss wins, a tie keeps the earlier
-    start, and its rows are permuted to maximize the trace.  `iterations_used`
-    totals the EM iterations of both runs; `converged` is true only if the
-    winning run stopped on the tolerance rule, not at `max_iters`.
+    start, and its rows are permuted to maximize the trace.  `max_iters`
+    caps the EM maps of each run, and `iterations_used` totals the EM maps
+    of both runs, stabilizing maps from extrapolated points included;
+    `converged` is true only if the winning run stopped on the tolerance
+    rule, not at `max_iters`.
     """
     k = stats.k
     spectral = _spectral_start(stats, stage_rng(config.seed, "optimizer"))

@@ -73,10 +73,17 @@ def soft_cosine(x, x2, weights):
 
 
 def _scaled(a):
-    """Scale each row of a, in place, by the power of two that puts its largest
+    """Scale each row of a, in place, by a power of two that puts its squared
+    norm in [1/4, 1) where that norm is finite and normal, else its largest
     |entry| in [1/2, 1); a zero row stays zero.  Returns a."""
-    peak = np.maximum(a.max(axis=1, initial=0), -a.min(axis=1, initial=0))
-    return np.ldexp(a, -np.frexp(peak)[1][:, None], out=a)
+    sq = np.einsum("ij,ij->i", a, a)
+    shift = -((np.frexp(sq)[1] + 1) // 2)
+    odd = ~((sq >= np.finfo(float).tiny) & (sq < np.inf))
+    if odd.any():  # the row peak only where the squared norm is 0, subnormal or inf
+        b = a[odd]
+        peak = np.maximum(b.max(axis=1, initial=0), -b.min(axis=1, initial=0))
+        shift[odd] = -np.frexp(peak)[1]
+    return np.ldexp(a, shift[:, None], out=a)
 
 
 def _unit_rows(x, weights):
@@ -140,9 +147,10 @@ def _score_bound(d):
     * The rows are x / sqrt(fl(sum x^2)) for the scaled weighted rows x of
       `_unit_rows`, so ||a||, ||b|| <= 1 + e with e = gamma_{d+2}(v): the
       squared norm is off by gamma_d(v), the square root and the division by
-      one rounding each.  The largest |x_k| lies in [1/2, 1), so the squared
-      norm neither overflows nor underflows; a square that underflows is off
-      by at most 2^-1075, far inside the underflow term below.
+      one rounding each.  Every |x_k| is below 1 and sum x_k^2 is about 1/4
+      or more, so the squared norm neither overflows nor underflows; a
+      square that underflows is off by at most 2^-1075, far inside the
+      underflow term below.
     * Input rounding: fl32(a) = a + da with |da| <= u |a|, so
       |fl32(a) . fl32(b) - a . b| <= (2u + u^2) sum |a_k b_k|
       <= (2u + u^2)(1 + e)^2 by Cauchy-Schwarz.

@@ -1,4 +1,5 @@
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tmest.hoc import (
     _assignment,
     _em,
     _maximize_trace,
+    _moments,
     _spectral_start,
     _stop_gain,
     count_consensus,
@@ -31,6 +33,42 @@ def _sampled_stats(t, p, n, seed):
     cum = np.cumsum(t.t, axis=1)
     labels = (rng.random((n, 3))[..., None] > cum[clean][:, None, :]).sum(axis=2)
     return count_consensus(np.minimum(labels, t.k - 1), t.k)
+
+
+def _plain_em(t, p, stats, cfg):
+    """Reference: plain EM, one map per iteration, under `_em`'s stop rule."""
+    k = stats.k
+    seen = np.flatnonzero(stats.c3)
+    c = stats.c3.ravel()[seen]
+
+    def fit(t, p):
+        m3, tt = _moments(t, p)
+        ratio = c / m3.ravel()[seen]
+        return max(float(c @ np.log(ratio)), 0.0), ratio, tt
+
+    loss, ratio, tt = fit(t, p)
+    q = np.zeros((k, k, k))
+    for it in range(1, cfg.max_iters + 1):
+        q.flat[seen] = ratio
+        qs = (q + q.transpose(1, 0, 2) + q.transpose(2, 0, 1)).reshape(k, k * k)
+        s = p[:, None] * t * (tt @ qs.T)
+        mass = s.sum(axis=1)
+        t, p = s / mass[:, None], mass / 3
+        prev = loss
+        loss, ratio, tt = fit(t, p)
+        if prev - loss <= _stop_gain(stats, cfg):
+            return t, p, loss, it, True
+    return t, p, loss, cfg.max_iters, False
+
+
+def _plain_solve(stats, config):
+    """`solve_transition` with plain EM in place of SQUAREM."""
+    with mock.patch.object(tmest.hoc, "_em", _plain_em):
+        return solve_transition(stats, config)
+
+
+def _near_identity(k):
+    return np.exp(2.0 * np.eye(k)) / (np.exp(2.0) + k - 1), np.full(k, 1 / k)
 
 
 def test_count_consensus_hand_case():
@@ -326,6 +364,89 @@ def test_em_stops_at_first_small_gain():
     stop = _stop_gain(stats, EstimatorConfig())
     assert stop == 1e-6 / 20_000
     assert losses[1] - losses[2] <= stop < losses[0] - losses[1]
+
+
+@settings(max_examples=12, deadline=None)
+@given(k=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       max_iters=st.integers(1, 3000))
+def test_squarem_property_on_counted_statistics(k, seed, max_iters):
+    # n triplets drawn through a random diagonally dominant T, from a random start
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.05, 0.45, k)
+    t = tm.TransitionMatrix(
+        k, [np.insert(u[i] * rng.dirichlet(np.ones(k - 1)), i, 1 - u[i]) for i in range(k)])
+    stats = _sampled_stats(t, rng.dirichlet(np.ones(k)), int(rng.integers(1000, 30_000)), seed)
+    start = rng.dirichlet(np.ones(k), size=k), rng.dirichlet(np.ones(k))
+    *_, loss, maps, converged = _em(*start, stats, EstimatorConfig(max_iters=max_iters))
+    assert 1 <= maps <= max_iters and (converged or maps == max_iters)
+    # plain EM given the same number of EM maps gets no lower
+    assert loss <= _plain_em(*start, stats, EstimatorConfig(max_iters=maps))[2] + 1e-12
+    # the kept point after each map (read at every budget) never rises
+    kept = [_em(*start, stats, EstimatorConfig(max_iters=m))[2]
+            for m in range(1, min(maps, 40) + 1)]
+    assert np.all(np.diff(kept) <= 1e-15)
+    assert solve_transition(stats, EstimatorConfig(max_iters=max_iters)).iterations_used \
+        <= 2 * max_iters
+
+
+def test_squarem_halves_the_em_maps():
+    # a count, not a timing: K = 10, n = 20 000, both starts
+    t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
+    stats = _sampled_stats(t, np.full(10, 0.1), 20_000, seed=1)
+    sol, ref = solve_transition(stats, EstimatorConfig()), _plain_solve(stats, EstimatorConfig())
+    assert sol.converged and ref.converged
+    assert 2 * sol.iterations_used <= ref.iterations_used
+    assert sol.final_loss <= ref.final_loss + 1e-12
+
+
+@pytest.mark.parametrize("case", ["oracle-5", "oracle-10", "oracle-20", "counted-10k",
+                                  "counted-20k", "near-identity-wins", "uniform-labels"])
+def test_final_loss_no_higher_than_plain_em(case):
+    if case.startswith("oracle"):
+        k = int(case.split("-")[1])
+        t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=0), k)
+        stats = model_consensus(t, np.random.default_rng(0).dirichlet(np.ones(k)))
+    elif case.startswith("counted"):
+        t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=1), 10)
+        n, seed = (10_000, 3) if case == "counted-10k" else (20_000, 1)
+        stats = _sampled_stats(t, np.full(10, 0.1), n, seed=seed)
+    elif case == "near-identity-wins":
+        t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=3), 3)
+        stats = _sampled_stats(t, np.full(3, 1 / 3), 2000, seed=5)
+    else:
+        stats = count_consensus(np.random.default_rng(2).integers(0, 3, (2000, 3)), 3)
+    sol, ref = solve_transition(stats, EstimatorConfig()), _plain_solve(stats, EstimatorConfig())
+    assert sol.final_loss <= ref.final_loss + 1e-12
+    assert sol.iterations_used <= ref.iterations_used
+
+
+def test_small_class_stall_exact_statistics():
+    # min p ~ 1.6e-4: EM from the near-identity start crawls on the smallest class
+    t = build_transition(NoiseScheme("dirichlet", avg_rate=0.3, seed=0), 10)
+    p = np.random.default_rng(0).dirichlet(np.ones(10))
+    assert p.min() < 2e-4
+    stats, cfg = model_consensus(t, p), EstimatorConfig()
+    sq = _em(*_near_identity(10), stats, cfg)
+    plain = _plain_em(*_near_identity(10), stats, cfg)
+    assert sq[3] == plain[3] == cfg.max_iters  # neither stops within 3000 maps
+    assert sq[2] <= plain[2]
+    assert (estimation_error(t, TransitionMatrix(10, _maximize_trace(sq[0], sq[1])[0]))
+            <= estimation_error(t, TransitionMatrix(10, _maximize_trace(plain[0], plain[1])[0])))
+
+
+def test_small_class_stall_label_never_seen():
+    # K = 3 counts in which label 2 never occurs: sym(c2) is singular, so no
+    # spectral start, and EM holds column 2 of T at zero from its first map
+    t = TransitionMatrix(3, [[0.8, 0.2, 0.0], [0.3, 0.7, 0.0], [0.6, 0.4, 0.0]])
+    stats = _sampled_stats(t, np.array([0.3, 0.3, 0.4]), 2000, seed=1)
+    assert not stats.c1[2]
+    assert _spectral_start(stats, stage_rng(0, "optimizer")) is None
+    cfg = EstimatorConfig()
+    sq = _em(*_near_identity(3), stats, cfg)
+    plain = _plain_em(*_near_identity(3), stats, cfg)
+    assert sq[4] and plain[4]
+    assert sq[2] <= plain[2] and 4 * sq[3] <= plain[3]
+    np.testing.assert_array_equal(sq[0][:, 2], 0.0)
 
 
 def _count_runs(monkeypatch):

@@ -8,7 +8,10 @@ whole number, at least 0 and below K where a K applies; text, None,
 fractions and ragged nesting are a `DataError` that names it.  Containers
 keep read-only buffers, so no later in-place write can break an invariant
 `__post_init__` has checked; a writeable input array is copied once, never
-frozen under its owner.
+frozen under its owner.  A config, weights or matrix argument of another
+type is a `DataError` that names it (`_instance`).  Equal rows are grouped in
+one place, `_distinct_rows`, which both whitening and the 2-NN search use to
+keep equal rows bitwise equal through a matrix product.
 """
 
 import json
@@ -72,6 +75,13 @@ def _real(value, name, above=None):
     return float(value)
 
 
+def _instance(value, cls, name):
+    """`value` if it is a `cls`; anything else is an error that names it."""
+    if not isinstance(value, cls):
+        raise DataError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _array(values):
     """`np.asarray(values)`, or a 0-d object array where nesting is ragged."""
     try:
@@ -120,6 +130,38 @@ def _int_labels(labels, name, k=None):
     if low < 0:
         raise DataError(f"{name} must be nonnegative, got {low}")
     return _freeze(labels)
+
+
+def _row_hash(bits):
+    """A 64-bit multiply-add hash of each row of a uint64 array (wrapping)."""
+    mult = np.random.default_rng(0).integers(2 ** 64, size=bits.shape[1], dtype=np.uint64)
+    return bits @ (mult | np.uint64(1))
+
+
+def _distinct_rows(x):
+    """Group the bitwise-identical rows of a 2-d float array, reading -0.0 as 0.0.
+
+    Returns (first, inverse): the lowest row of each group, in increasing
+    order, and the group of each row, so groups are numbered by their lowest
+    row.  Rows are grouped by a hash of their bytes with a 1-D ``np.unique``;
+    every other row of a group is then checked bit for bit against its lowest
+    row, and on a hash collision the rows are grouped exactly by
+    ``np.unique(axis=0)``.  Each 64-bit word first has its high 32 bits
+    xor-ed into its low 32 bits, in a private copy: the hash's products carry
+    bits only upward, and the word of a whole number, a half or a quarter
+    ends in 32 or more zero bits.  The fold is a bijection, so the bit check
+    and the fallback group exactly as on the raw words.
+    """
+    bits = np.ascontiguousarray(x + 0.0).view(np.uint64)
+    half = bits.view(np.uint32)  # the low half of each word first on a little-endian machine
+    half[:, 1 - int(np.little_endian)::2] ^= half[:, int(np.little_endian)::2]
+    _, first, inverse = np.unique(_row_hash(bits), return_index=True, return_inverse=True)
+    lowest = first[inverse]
+    copy = lowest != np.arange(lowest.size)
+    if not np.array_equal(bits[lowest[copy]], bits[copy]):
+        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # np.argsort(order) is each group's rank by lowest row
+    return first[order], np.argsort(order)[inverse.ravel()]
 
 
 @dataclass

@@ -18,7 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataError, TransitionMatrix, _int_labels, _integer, _reals, stage_rng
+from .core import (DataError, EstimatorConfig, TransitionMatrix, _instance, _int_labels,
+                   _integer, _reals, stage_rng)
 
 _NORM_ATOL = 1e-9
 # sym(c2) counts as rank-deficient below this fraction of its top eigenvalue
@@ -285,8 +286,8 @@ def solve_transition(stats, config):
     `converged` is true only if the winning run stopped on the tolerance
     rule, not at `max_iters`.
     """
-    k = stats.k
-    spectral = _spectral_start(stats, stage_rng(config.seed, "optimizer"))
+    k, seed = stats.k, _instance(config, EstimatorConfig, "config").seed
+    spectral = _spectral_start(stats, stage_rng(seed, "optimizer"))
     starts = [] if spectral is None else [spectral]
     starts.append((np.exp(2.0 * np.eye(k)) / (np.exp(2.0) + k - 1), np.full(k, 1 / k)))
 

@@ -12,7 +12,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .core import VARIANTS, DataError, Report
+from .core import VARIANTS, DataError, EstimatorConfig, Report, TransitionMatrix, _instance
 from .evaluation import estimation_error
 from .hoc import _check_c3_size, count_consensus, solve_transition
 from .infotheory import estimate_fmi_per_dim, build_weights
@@ -37,9 +37,9 @@ def estimate(data, config, true_t=None):
     identify; it is empty when nothing is flagged.
     """
     _check_c3_size(data.k)  # before any stage, not after the 2-NN search
-    if true_t is not None and true_t.k != data.k:
+    if true_t is not None and _instance(true_t, TransitionMatrix, "true_t").k != data.k:
         raise DataError(f"true_t has K={true_t.k}, but the data have K={data.k}")
-    whiten, divergence = VARIANTS[config.variant]
+    whiten, divergence = VARIANTS[_instance(config, EstimatorConfig, "config").variant]
     timings, clock = {}, [time.perf_counter()]
 
     def lap(stage):  # seconds since the previous lap

@@ -14,10 +14,11 @@ weighted unit row is bitwise equal to another's: an exact duplicate, a
 power-of-two scaling, or a row that differs only on zero-weight axes.
 Other positive scalings are copies only where the float64 weighting and
 normalization round them to the same bits.  The copies of one unit row form
-a group and share one score column.  A float32 pass scores blocks of at
-most `_CHUNK` groups against every group and gives each group an entry
-table of m + 2 (group, score) entries: the group itself at its self score,
-then its best m + 1 other groups.  Groups whose entries decide the m
+a group (`core._distinct_rows`, the grouping whitening also uses) and share
+one score column.  A float32 pass scores blocks of at most `_CHUNK` groups
+against every group and gives each group an entry table of m + 2 (group,
+score) entries: the group itself at its self score, then its best m + 1
+other groups.  Groups whose entries decide the m
 neighbor slots beyond a proven bound on the float32 rounding error
 (`_score_bound`, `_sure`) keep them, and the rest (near ties) are scored
 again in float64.  One expansion (`_expand`) then maps groups back to rows:
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataError, _array, _int_labels, _reals
+from .core import DataError, _array, _distinct_rows, _instance, _int_labels, _reals
 
 _NEIGHBORS = 2              # neighbor slots of each query row
 _CHUNK = 128                # most query rows per score block
@@ -88,18 +89,20 @@ def _scaled(a):
 
 def _unit_rows(x, weights):
     """(rows, unit): the rows of x with a nonzero weighted row x * sqrt(w), and
-    those weighted rows normalized; a w whose length is not d is a `DataError`.
+    those weighted rows normalized; weights that are not a `SimilarityWeights`,
+    or a w whose length is not d, are a `DataError`.
 
     Powers of two scale each row of x and sqrt(w) before the product, and each
     weighted row after it (`_scaled`).  That is exact, so no product or squared
     norm overflows, and an exact power-of-two scaling of a row has its unit
     row.  Rows of normal range get the bits of unscaled x*sqrt(w)/||x*sqrt(w)||.
     """
-    if weights.w is not None and weights.w.size != x.shape[1]:
+    w = _instance(weights, SimilarityWeights, "weights").w
+    if w is not None and w.size != x.shape[1]:
         raise DataError("weight size does not match the feature dimension")
     xw = _scaled(np.array(x, dtype=float))
-    if weights.w is not None:
-        _scaled(np.multiply(xw, _scaled(np.sqrt(weights.w)[None]), out=xw))
+    if w is not None:
+        _scaled(np.multiply(xw, _scaled(np.sqrt(w)[None]), out=xw))
     sq = np.einsum("ij,ij->i", xw, xw)
     np.divide(xw, np.sqrt(sq)[:, None], out=xw, where=sq[:, None] > 0)
     return np.flatnonzero(sq > 0), xw[sq > 0]
@@ -173,32 +176,6 @@ def _score_bound(d):
     e = gamma(d + 2, v)
     return ((2 * u + u * u + gamma(d, u) * (1 + u) ** 2 + gamma(d, v)) * (1 + e) ** 2
             + d * 2.0 ** -148)
-
-
-def _row_hash(bits):
-    """A 64-bit multiply-add hash of each row of a uint64 array (wrapping)."""
-    mult = np.random.default_rng(0).integers(2 ** 64, size=bits.shape[1], dtype=np.uint64)
-    return bits @ (mult | np.uint64(1))
-
-
-def _distinct_rows(x):
-    """Group the bitwise-identical rows of x, reading -0.0 as 0.0.
-
-    Returns (first, inverse): the lowest row of each group, in increasing
-    order, and the group of each row, so groups are numbered by their lowest
-    row.  Rows are grouped by a hash of their bytes with a 1-D ``np.unique``;
-    every other row of a group is then checked bit for bit against its lowest
-    row, and on a hash collision the rows are grouped exactly by
-    ``np.unique(axis=0)``.
-    """
-    bits = np.ascontiguousarray(x + 0.0).view(np.uint64)
-    _, first, inverse = np.unique(_row_hash(bits), return_index=True, return_inverse=True)
-    lowest = first[inverse]
-    copy = lowest != np.arange(lowest.size)
-    if not np.array_equal(bits[lowest[copy]], bits[copy]):
-        _, first, inverse = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # np.argsort(order) is each group's rank by lowest row
-    return first[order], np.argsort(order)[inverse.ravel()]
 
 
 def _top_candidates(sims):

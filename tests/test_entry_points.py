@@ -135,6 +135,21 @@ MALFORMED_INPUTS = [
      "^weight size does not match the feature dimension$"),
     ("soft_cosine.empty", lambda: tm.soft_cosine([], [], tm.SimilarityWeights()),
      "^degenerate vector under W$"),
+    ("WhiteningTransform.project.0-d",
+     lambda: WhiteningTransform(np.zeros(2), np.eye(2), [2.0, 1.0]).project(3.0),
+     "^dimension mismatch: transform expects d=2$"),
+    ("get_2nn_triplets.weights_none", lambda: tm.get_2nn_triplets(DATA, None),
+     "^weights must be of type SimilarityWeights, got NoneType$"),
+    ("clusterability_rate.weights_none", lambda: tm.clusterability_rate(DATA, None),
+     "^weights must be of type SimilarityWeights, got NoneType$"),
+    ("soft_cosine.weights_none", lambda: tm.soft_cosine([1.0, 0.0], [0.0, 1.0], None),
+     "^weights must be of type SimilarityWeights, got NoneType$"),
+    ("estimate.config_none", lambda: tm.estimate(DATA, None),
+     "^config must be of type EstimatorConfig, got NoneType$"),
+    ("solve_transition.config_none", lambda: tm.solve_transition(STATS, None),
+     "^config must be of type EstimatorConfig, got NoneType$"),
+    ("estimate.true_t_array", lambda: tm.estimate(DATA, tm.EstimatorConfig(), true_t=np.eye(2)),
+     "^true_t must be of type TransitionMatrix, got ndarray$"),
     ("fit_whitening.overflow",
      lambda: tm.fit_whitening(tm.Dataset(DATA.features * 1e160, [0, 1, 0, 1], 2)),
      "^the features' mean or covariance overflows float64; rescale them$"),

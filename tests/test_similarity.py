@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import tmest as tm
 from tmest.core import DataError
-from tmest import similarity
+from tmest import core, similarity
+from tmest.core import _distinct_rows
 from tmest.similarity import (
     _BUFFER_BYTES,
     _CHUNK,
     _block_rows,
-    _distinct_rows,
     _score_bound,
     _top_candidates,
     NeighborTriplets,
@@ -550,7 +550,55 @@ def test_distinct_rows_exact_under_hash_collisions(monkeypatch):
         np.testing.assert_array_equal(
             get_2nn_triplets(data, SimilarityWeights()).indices, trip.indices)
         # every row hashing alike forces the exact fallback
-        monkeypatch.setattr(similarity, "_row_hash", lambda bits: np.zeros(len(bits), np.uint64))
+        monkeypatch.setattr(core, "_row_hash", lambda bits: np.zeros(len(bits), np.uint64))
+
+
+def _unique_grouping(x):
+    """(first, inverse) of `_distinct_rows` by ``np.unique(axis=0)`` on the
+    bytes of x + 0.0, with groups numbered by their lowest row."""
+    bits = np.ascontiguousarray(x + 0.0).view(np.uint64)
+    _, seen, inv = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+    first = np.sort(seen)
+    return first, np.searchsorted(first, seen[inv.ravel()])
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.integers(0, 2, size=(20_000, 50)).astype(float),
+    lambda rng: 0.5 * np.eye(64)[rng.integers(0, 64, 5000)],
+], ids=["binary-50", "one-hot-halves"])
+def test_distinct_rows_hashes_whole_numbers_apart(make, monkeypatch):
+    # words of whole numbers and halves end in 32 or more zero bits; the hash
+    # must still tell their rows apart, so the exact fallback is not reached
+    x = make(np.random.default_rng(12))
+    unique = np.unique
+
+    def no_fallback(a, *args, **kwargs):
+        assert kwargs.get("axis") is None, "fell back to np.unique(axis=0)"
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", no_fallback)
+    first, inverse = _distinct_rows(x)
+    monkeypatch.undo()
+    expect_first, expect_inverse = _unique_grouping(x)
+    np.testing.assert_array_equal(first, expect_first)
+    np.testing.assert_array_equal(inverse, expect_inverse)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 12),
+       st.sampled_from(["normal", "binary", "halves", "signed-zero", "tiny"]))
+def test_distinct_rows_matches_unique_rows(seed, n, d, kind):
+    rng = np.random.default_rng(seed)
+    base = {"normal": lambda: rng.normal(size=(8, d)),
+            "binary": lambda: rng.integers(0, 2, size=(8, d)).astype(float),
+            "halves": lambda: rng.integers(-4, 5, size=(8, d)) / 2.0,
+            "signed-zero": lambda: rng.choice([0.0, -0.0, 1.0], size=(8, d)),
+            "tiny": lambda: rng.integers(0, 3, size=(8, d)) * 5e-324}[kind]()
+    x = base[rng.integers(0, 8, n)]
+    first, inverse = _distinct_rows(x)
+    expect_first, expect_inverse = _unique_grouping(x)
+    np.testing.assert_array_equal(first, expect_first)
+    np.testing.assert_array_equal(inverse, expect_inverse)
 
 
 def test_score_buffer_bounded_by_bytes(monkeypatch):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tmest as tm
 from tmest.core import DataError
@@ -153,3 +156,50 @@ def test_whitened_copies_stay_copies(seed, n, d, distinct):
     np.fill_diagonal(sims, -np.inf)
     np.testing.assert_array_equal(trip.indices,
                                   np.argsort(-sims, axis=1, kind="stable")[:, :2])
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 40), n=st.integers(1, 400),
+       distinct=st.integers(1, 12))
+def test_equal_rows_whiten_to_equal_bits(seed, d, n, distinct):
+    # duplicate-heavy rows, some copies differing only in the sign of a zero:
+    # every copy of a row whitens to the bits of its first copy, and 1-d and
+    # 3-d inputs keep their leading shape
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(3 * d + 3, d)) * rng.uniform(0.1, 10.0, d) @ rng.normal(size=(d, d))
+    transform = fit_whitening(_dataset(x0))
+    base = rng.normal(size=(distinct, d)) * rng.uniform(0.1, 10.0, d)
+    base[rng.random(base.shape) < 0.3] = 0.0
+    which = rng.integers(0, distinct, n)
+    x = base[which]
+    x[(x == 0.0) & (rng.random(x.shape) < 0.5)] = -0.0
+    z = transform.project(x)
+    assert z.shape == (n, transform.r)
+    _, first, group = np.unique(which, return_index=True, return_inverse=True)
+    np.testing.assert_array_equal(_bits(z), _bits(z[first[group]]))
+    stacked = transform.project(x.reshape(n, 1, d))
+    assert stacked.shape == (n, 1, transform.r)
+    np.testing.assert_array_equal(_bits(stacked.reshape(n, -1)), _bits(z))
+    one = transform.project(x[-1])
+    assert one.shape == (transform.r,)
+    np.testing.assert_allclose(one, z[-1], rtol=1e-12, atol=1e-12 * np.abs(z).max())
+
+
+def test_apply_whitening_memory_bounded():
+    # the distinct rows, their projection and the expanded output: at most
+    # about two N x d float arrays at a time
+    rng = np.random.default_rng(10)
+    n, d = 20_000, 40
+    data = _dataset(rng.normal(size=(n, d)) @ rng.normal(size=(d, d)))
+    transform = fit_whitening(data)
+    tracemalloc.start()
+    try:
+        apply_whitening(transform, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * d * 8 + (1 << 20)
